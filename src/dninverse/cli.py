@@ -20,7 +20,9 @@ from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
     SymMatrix,
+    check_rel_tolerance,
     cholesky_invert,
+    single_blas_thread,
     verify_doubly_nonnegative,
 )
 from .errors import DnInverseError
@@ -56,6 +58,13 @@ def _nonneg_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("value must be nonnegative")
     return value
+
+
+def _rel_tolerance(text: str) -> float:
+    try:
+        return check_rel_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}") from exc
 
 
 def _emit(args, document: dict, human_lines: list[str]) -> None:
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument(
                 "--tol-zero",
-                type=float,
+                type=_rel_tolerance,
                 default=REL_TOL_ZERO,
                 metavar="REL",
                 help="relative zero threshold for entry classification "
@@ -380,7 +389,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_blas_thread():
+            return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

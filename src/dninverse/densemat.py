@@ -8,9 +8,15 @@ call sites that classify entries.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .errors import AsymmetricMatrix, NotConverged, NotPositiveDefinite
@@ -23,9 +29,72 @@ REL_SYM_TOL = 1e-12
 POWER_TOL = 1e-10
 POWER_MAX_ITERS = 10_000
 
+# numpy and scipy each bundle an OpenBLAS with its own thread pool:
+# (package, library file pattern, thread-count getter, setter)
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(getter, setter) pairs of the bundled OpenBLAS libraries already loaded.
+
+    Empty under any other BLAS build. RTLD_NOLOAD only finds a library the
+    process has loaded, so this never brings in a second copy.
+    """
+    pools = []
+    for package, pattern, get_name, set_name in _OPENBLAS:
+        libs = sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))
+        try:
+            lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+            getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+        except (IndexError, OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        pools.append((getter, setter))
+    return tuple(pools)
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every OpenBLAS pool on one thread, then restore the counts.
+
+    The matrices here are small enough that a second BLAS thread costs more
+    in wake-ups than it saves. The thread count is process-wide, so only
+    entry points use this. Pools are left alone when OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set, and nothing happens under another BLAS build.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        yield
+        return
+    saved = [(setter, getter()) for getter, setter in _openblas_pools()]
+    for setter, _ in saved:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in saved:
+            setter(count)
+
+
+def check_rel_tolerance(rel: float) -> float:
+    """``rel`` itself when it is a usable relative tolerance: finite and in [0, 1)."""
+    if not 0.0 <= rel < 1.0:  # also false for nan
+        raise ValueError(f"relative tolerance must be finite and in [0, 1), got {rel!r}")
+    return rel
+
 
 def zero_threshold(values, rel: float = REL_TOL_ZERO) -> float:
-    """Absolute magnitude below which an entry of ``values`` counts as zero."""
+    """Absolute magnitude below which an entry of ``values`` counts as zero.
+
+    Raises ValueError unless ``rel`` is finite and in [0, 1).
+    """
+    check_rel_tolerance(rel)
     arr = np.asarray(values, dtype=float)
     return rel * float(np.abs(arr).max())
 

@@ -85,12 +85,17 @@ def read_matrix(path) -> SymMatrix:
         raise ParseError(path, 0, str(exc)) from None
 
 
+def _write_header(handle, n: int, comment: str | None) -> None:
+    """Each comment line behind '# ', then the size line."""
+    if comment:
+        for line in comment.splitlines():
+            handle.write(f"# {line}\n")
+    handle.write(f"{n}\n")
+
+
 def write_matrix(path, a: SymMatrix, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if comment:
-            for line in comment.splitlines():
-                handle.write(f"# {line}\n")
-        handle.write(f"{a.n}\n")
+        _write_header(handle, a.n, comment)
         for row in a.entries:
             handle.write(" ".join(f"{value:.17g}" for value in row) + "\n")
 
@@ -116,10 +121,7 @@ def read_sign_matrix(path) -> SignMatrix:
 
 def write_sign_matrix(path, s: SignMatrix, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if comment:
-            for line in comment.splitlines():
-                handle.write(f"# {line}\n")
-        handle.write(f"{s.n}\n")
+        _write_header(handle, s.n, comment)
         for row in s.to_rows():
             handle.write(row + "\n")
 
@@ -154,9 +156,6 @@ def read_graph(path) -> UGraph:
 
 def write_graph(path, g: UGraph, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if comment:
-            for line in comment.splitlines():
-                handle.write(f"# {line}\n")
-        handle.write(f"{g.n}\n")
+        _write_header(handle, g.n, comment)
         for i, j in g.edges:
             handle.write(f"{i} {j}\n")

@@ -14,9 +14,14 @@ import numpy as np
 
 
 class UGraph:
-    """Immutable undirected simple graph on vertex set {1, ..., n}."""
+    """Immutable undirected simple graph on vertex set {1, ..., n}.
 
-    __slots__ = ("_n", "_adj")
+    ``_tree`` memoizes the validated tree layout that ``treesign`` builds on
+    first use (``False`` for a non-tree); it is derived from the edges, so it
+    takes no part in equality or hashing.
+    """
+
+    __slots__ = ("_n", "_adj", "_tree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -31,6 +36,7 @@ class UGraph:
             adj[j].add(i)
         self._n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._tree = None
 
     @property
     def n(self) -> int:

@@ -22,8 +22,9 @@ from .graphs import UGraph, is_connected, random_tree
 PLUS: int = 1
 MINUS: int = -1
 
-_CHAR = {PLUS: "+", MINUS: "-"}
-_SIGN = {"+": PLUS, "-": MINUS}
+# ASCII puts '+' (43) and '-' (45) either side of 44, so 44 - byte maps a
+# character to its sign and 44 - sign maps a sign back to its character.
+_CHAR_OFFSET = 44
 
 
 class SignMatrix:
@@ -48,18 +49,22 @@ class SignMatrix:
     def from_rows(cls, rows: Sequence[str]) -> "SignMatrix":
         """Build from strings of '+' and '-' characters, one per row."""
         n = len(rows)
-        out = np.empty((n, n), dtype=np.int8)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i + 1} has {len(row)} characters, expected {n}")
-            for j, ch in enumerate(row):
-                if ch not in _SIGN:
-                    raise ValueError(f"row {i + 1} has invalid character {ch!r}")
-                out[i, j] = _SIGN[ch]
-        return cls(out)
+        short = next((i for i, row in enumerate(rows) if len(row) != n), n)
+        text = "".join(rows[:short])
+        codes = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.int8)
+        signs = _CHAR_OFFSET - codes
+        bad = np.flatnonzero((signs != PLUS) & (signs != MINUS))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"row {k // n + 1} has invalid character {text[k]!r}")
+        if short < n:
+            raise ValueError(f"row {short + 1} has {len(rows[short])} characters, expected {n}")
+        return cls(signs.reshape(n, n))
 
     def to_rows(self) -> list[str]:
-        return ["".join(_CHAR[int(s)] for s in row) for row in self._signs]
+        n = self.n
+        text = (_CHAR_OFFSET - self._signs).tobytes().decode("ascii")
+        return [text[i : i + n] for i in range(0, n * n, n)]
 
     @property
     def n(self) -> int:

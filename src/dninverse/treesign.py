@@ -17,16 +17,12 @@ import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import DimensionMismatch, NotATree, SchurNotPositiveDefinite
-from .graphs import UGraph, bfs_distances, is_connected
+from .graphs import UGraph, bfs_distances
 from .signpattern import MINUS, PLUS, SignMatrix
 
 TOL_RATIO = 1e-8
 SCHUR_FLOOR = 1e-12
 RATIO_SKIP_FACTOR = 1e3
-
-
-def is_tree(g: UGraph) -> bool:
-    return g.edge_count == g.n - 1 and is_connected(g).connected
 
 
 @dataclass(frozen=True)
@@ -46,25 +42,79 @@ class TwoColoring:
         return self.colors[i - 1] != self.colors[j - 1]
 
 
+@dataclass(frozen=True, eq=False)
+class _TreeLayout:
+    """A graph validated as a tree by one BFS from vertex 1; arrays are 0-based."""
+
+    parity: np.ndarray  # int8 BFS depth parity, the two-coloring
+    edges: np.ndarray  # (n - 1, 2) endpoints, rows in ``UGraph.edges`` order
+    leaves: np.ndarray  # degree-1 vertices, ascending
+    leaf_nbrs: np.ndarray  # the one neighbor of each leaf
+
+
+def _build_layout(g: UGraph) -> _TreeLayout | bool:
+    """The layout of ``g``, or False when ``g`` is not a tree."""
+    n = g.n
+    if g.edge_count != n - 1:
+        return False
+    # with n - 1 edges, reaching every vertex from vertex 1 makes g a tree
+    parity = [-1] * (n + 1)
+    parity[1] = 0
+    parent = [0] * (n + 1)
+    order = [1]
+    for u in order:
+        for w in g.neighbors(u):
+            if parity[w] < 0:
+                parity[w] = 1 - parity[u]
+                parent[w] = u
+                order.append(w)
+    if len(order) != n:
+        return False
+    child = np.arange(1, n)
+    up = np.array(parent[2:], dtype=np.intp) - 1
+    lo, hi = np.minimum(child, up), np.maximum(child, up)
+    by_endpoints = np.lexsort((hi, lo))
+    edges = np.column_stack((lo[by_endpoints], hi[by_endpoints]))
+    leaves = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 1)
+    other = np.empty(n, dtype=np.intp)
+    other[edges[:, 0]] = edges[:, 1]
+    other[edges[:, 1]] = edges[:, 0]  # a leaf is an endpoint of exactly one edge
+    return _TreeLayout(np.array(parity[1:], dtype=np.int8), edges, leaves, other[leaves])
+
+
+def _tree_layout(g: UGraph) -> _TreeLayout | bool:
+    """The layout memoized on ``g``: built on first use, False for a non-tree."""
+    if g._tree is None:
+        g._tree = _build_layout(g)
+    return g._tree
+
+
+def _require_tree(g: UGraph) -> _TreeLayout:
+    layout = _tree_layout(g)
+    if layout is False:
+        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
+    return layout
+
+
+def is_tree(g: UGraph) -> bool:
+    return _tree_layout(g) is not False
+
+
 def two_coloring(g: UGraph) -> TwoColoring:
     """Two-coloring by BFS layer parity from vertex 1. Raises NotATree otherwise."""
-    if not is_tree(g):
-        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
-    dist = bfs_distances(g, 1)
-    return TwoColoring(tuple(dist[v] % 2 for v in range(1, g.n + 1)))
+    return TwoColoring(tuple(_require_tree(g).parity.tolist()))
 
 
 def predict_tree_sign_pattern(g: UGraph) -> SignMatrix:
     """Inverse sign pattern forced by a tree: MINUS where the two-coloring differs."""
-    coloring = two_coloring(g)
-    colors = np.array(coloring.colors)
-    return SignMatrix(np.where(colors[:, None] != colors[None, :], MINUS, PLUS))
+    parity = _require_tree(g).parity
+    differ = parity[:, None] ^ parity[None, :]  # int8: 1 where the colors differ
+    return SignMatrix(PLUS + (MINUS - PLUS) * differ)
 
 
 def odd_distance_predicate(g: UGraph, i: int, j: int) -> bool:
     """Whether the tree distance between distinct vertices i and j is odd."""
-    if not is_tree(g):
-        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
+    _require_tree(g)
     if i == j:
         raise ValueError("vertices must be distinct")
     return bfs_distances(g, i)[j] % 2 == 1
@@ -200,45 +250,51 @@ def leaf_ratio_check(
     are skipped as numerically uninformative; leaves with no comparable rows
     (the 2 x 2 case) contribute nothing.
     """
-    if not is_tree(g):
-        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
+    layout = _require_tree(g)
     if a.n != g.n or a_inverse.n != g.n:
         raise DimensionMismatch(
             f"matrix sizes {a.n}, {a_inverse.n} do not match graph size {g.n}"
         )
+    if g.n < 3:
+        return LeafRatioReport((), ())
+    # one column per leaf: the leaf's inverse column against its neighbor's,
+    # compared on every row except those two
     inv = a_inverse.entries
     floor = RATIO_SKIP_FACTOR * zero_threshold(inv, rel_tol)
+    leaves, nbrs = layout.leaves, layout.leaf_nbrs
+    cols = np.arange(leaves.size)
+    x = inv[:, leaves]
+    y = inv[:, nbrs]
+    compared = np.ones(x.shape, dtype=bool)
+    compared[leaves, cols] = False
+    compared[nbrs, cols] = False
+    usable = compared & ~((np.abs(x) < floor) & (np.abs(y) < floor))
+    checked = usable.sum(axis=0)
+    skipped = (g.n - 2) - checked
+    anchor = np.where(usable, np.abs(y), -1.0).argmax(axis=0)  # first largest |y|
+    x_anchor = x[anchor, cols]
+    y_anchor = y[anchor, cols]
+    kappa = np.divide(x_anchor, y_anchor, out=np.zeros_like(x_anchor), where=y_anchor != 0.0)
+    fitted = kappa * y
+    scale = np.maximum(np.maximum(np.abs(x), np.abs(fitted)), 1e-300)
+    max_dev = np.where(usable, np.abs(x - fitted) / scale, 0.0).max(axis=0)
     ratios = []
     violations = []
-    for v in range(1, g.n + 1):
-        if g.degree(v) != 1:
+    for k, (v, p) in enumerate(zip((leaves + 1).tolist(), (nbrs + 1).tolist())):
+        if not checked[k]:
+            ratios.append(LeafRatio(v, p, float("nan"), 0.0, 0, int(skipped[k])))
             continue
-        (p,) = g.neighbors(v)
-        rows = np.array([j for j in range(1, g.n + 1) if j not in (v, p)])
-        if rows.size == 0:
-            continue
-        x = inv[rows - 1, v - 1]
-        y = inv[rows - 1, p - 1]
-        usable = ~((np.abs(x) < floor) & (np.abs(y) < floor))
-        skipped = int((~usable).sum())
-        if not usable.any():
-            ratios.append(LeafRatio(v, p, float("nan"), 0.0, 0, skipped))
-            continue
-        xu = x[usable]
-        yu = y[usable]
-        anchor = int(np.argmax(np.abs(yu)))
-        if yu[anchor] == 0.0:
+        if y_anchor[k] == 0.0:
             violations.append(f"leaf {v}: parent column vanishes on comparable rows")
             continue
-        kappa = float(xu[anchor] / yu[anchor])
-        scale = np.maximum(np.maximum(np.abs(xu), np.abs(kappa * yu)), 1e-300)
-        max_dev = float((np.abs(xu - kappa * yu) / scale).max())
-        ratios.append(LeafRatio(v, p, kappa, max_dev, int(usable.sum()), skipped))
-        if kappa >= 0.0:
-            violations.append(f"leaf {v}: ratio {kappa:g} is not negative")
-        if max_dev > tol_ratio:
+        ratio = float(kappa[k])
+        dev = float(max_dev[k])
+        ratios.append(LeafRatio(v, p, ratio, dev, int(checked[k]), int(skipped[k])))
+        if ratio >= 0.0:
+            violations.append(f"leaf {v}: ratio {ratio:g} is not negative")
+        if dev > tol_ratio:
             violations.append(
-                f"leaf {v}: relative deviation {max_dev:.3e} exceeds {tol_ratio:g}"
+                f"leaf {v}: relative deviation {dev:.3e} exceeds {tol_ratio:g}"
             )
     return LeafRatioReport(tuple(ratios), tuple(violations))
 
@@ -250,12 +306,11 @@ def random_tree_dn_matrix(g: UGraph, seed) -> SymMatrix:
     weight sum plus a slack uniform on [0.1, 1.0], which makes the matrix
     strictly diagonally dominant and hence positive definite.
     """
-    if not is_tree(g):
-        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
+    i, j = _require_tree(g).edges.T
     rng = np.random.default_rng(seed)
     arr = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        weight = rng.uniform(0.5, 2.0)
-        arr[i - 1, j - 1] = arr[j - 1, i - 1] = weight
+    weights = rng.uniform(0.5, 2.0, size=g.n - 1)  # one draw per edge, in edge order
+    arr[i, j] = weights
+    arr[j, i] = weights
     np.fill_diagonal(arr, arr.sum(axis=1) + rng.uniform(0.1, 1.0, size=g.n))
     return SymMatrix(arr)

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from dninverse import read_matrix, read_sign_matrix, verify_doubly_nonnegative
+from dninverse import cli, densemat, read_matrix, read_sign_matrix, verify_doubly_nonnegative
 from dninverse.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -182,3 +182,97 @@ def test_unknown_verb_exits_with_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1", "2", "abc"])
+def test_tol_zero_outside_unit_interval_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", str(FIXTURES / "path3_matrix.txt"), f"--tol-zero={value}"])
+    assert info.value.code == 2
+    assert "--tol-zero" in capsys.readouterr().err
+
+
+def test_fuzz_report_matches_golden_seed_42(capsys):
+    # Both campaigns, sizes 2..100, 500 trials each. Counts must match
+    # exactly and margins to 1e-12 relative, which leaves another BLAS build
+    # room to round the last digits differently.
+    argv = ["fuzz", "--theorem", "all", "--trials", "500", "--seed", "42"]
+    code = main([*argv, "--n-min", "2", "--n-max", "100", "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    golden = json.loads((FIXTURES / "fuzz_all_seed42.json").read_text())
+    assert set(report) == set(golden) == {"1", "2"}
+    for key, expected in golden.items():
+        got = report[key]
+        for field in ("trials", "failures", "failure_seeds"):
+            assert got[field] == expected[field]
+        assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
+
+
+def _pool_counts():
+    return [getter() for getter, _ in densemat._openblas_pools()]
+
+
+@pytest.fixture
+def blas_pools(monkeypatch):
+    """The OpenBLAS pools with their thread counts raised to two, restored afterwards."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    pools = densemat._openblas_pools()
+    if not pools:
+        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
+    saved = _pool_counts()
+    for _, setter in pools:
+        setter(2)
+    yield _pool_counts()
+    for (_, setter), count in zip(pools, saved):
+        setter(count)
+
+
+def _recording_check(seen):
+    def verb(args):
+        seen.append(_pool_counts())
+        return 0
+
+    return verb
+
+
+def test_main_runs_verbs_on_one_blas_thread_and_restores_the_pools(blas_pools, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_check", _recording_check(seen))
+    assert main(["check", str(FIXTURES / "path3.signs")]) == 0
+    assert seen == [[1] * len(blas_pools)]
+    assert _pool_counts() == blas_pools
+
+
+def test_main_restores_the_pools_when_a_verb_fails(blas_pools, monkeypatch, capsys):
+    def failing(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", failing)
+    assert main(["check", str(FIXTURES / "path3.signs")]) == 2
+    assert "boom" in capsys.readouterr().err
+    assert _pool_counts() == blas_pools
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_main_leaves_the_pools_alone_under_a_thread_variable(blas_pools, monkeypatch, name):
+    seen = []
+    monkeypatch.setenv(name, "2")
+    monkeypatch.setattr(cli, "_cmd_check", _recording_check(seen))
+    assert main(["check", str(FIXTURES / "path3.signs")]) == 0
+    assert seen == [blas_pools]
+
+
+def test_main_runs_when_no_openblas_is_found(monkeypatch, capsys):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    missing = tuple((pkg, "no-such-dir/libnothing-*.so", get, put) for pkg, _, get, put in densemat._OPENBLAS)
+    monkeypatch.setattr(densemat, "_OPENBLAS", missing)
+    densemat._openblas_pools.cache_clear()
+    try:
+        assert densemat._openblas_pools() == ()
+        assert main(["check", str(FIXTURES / "path3.signs")]) == 0
+        assert "FEASIBLE" in capsys.readouterr().out
+    finally:
+        densemat._openblas_pools.cache_clear()

@@ -53,6 +53,17 @@ def test_zero_threshold_scales_with_magnitude():
     assert zero_threshold([[1e6]]) == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("rel", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300, 1.0])
+def test_zero_threshold_rejects_invalid_relative_tolerance(rel):
+    with pytest.raises(ValueError, match=r"finite and in \[0, 1\)"):
+        zero_threshold([[1.0]], rel)
+
+
+def test_zero_threshold_accepts_the_edges_of_its_range():
+    assert zero_threshold([[2.0]], 0.0) == 0.0
+    assert zero_threshold([[2.0]], 0.999) == pytest.approx(1.998)
+
+
 def test_cholesky_invert_identity():
     assert cholesky_invert(SymMatrix.identity(3)) == SymMatrix.identity(3)
 

@@ -40,6 +40,46 @@ def test_sign_matrix_validation():
         SignMatrix(np.zeros((2, 3)))
 
 
+def _reference_to_rows(s):
+    """The per-entry loop that SignMatrix.to_rows vectorizes."""
+    return ["".join("+" if v == PLUS else "-" for v in row) for row in s.signs]
+
+
+def _reference_from_rows(rows):
+    """The per-character loop that SignMatrix.from_rows vectorizes."""
+    n = len(rows)
+    out = np.empty((n, n), dtype=np.int8)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i + 1} has {len(row)} characters, expected {n}")
+        for j, ch in enumerate(row):
+            if ch not in "+-":
+                raise ValueError(f"row {i + 1} has invalid character {ch!r}")
+            out[i, j] = PLUS if ch == "+" else MINUS
+    return SignMatrix(out)
+
+
+def test_sign_matrix_rows_equal_reference_loops():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 17, 64):
+        s = SignMatrix(np.where(rng.random((n, n)) < 0.5, MINUS, PLUS))
+        rows = s.to_rows()
+        assert rows == _reference_to_rows(s)
+        assert SignMatrix.from_rows(rows) == _reference_from_rows(rows) == s
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["+-", "+"], ["+0", "0+"], ["+-", "-+", "++"], ["++", "+x", "+"], ["+\u00e9", "-+"], []],
+)
+def test_sign_matrix_from_rows_names_the_first_bad_row(rows):
+    with pytest.raises(ValueError) as expected:
+        _reference_from_rows(rows)
+    with pytest.raises(ValueError) as got:
+        SignMatrix.from_rows(rows)
+    assert str(got.value) == str(expected.value)
+
+
 def test_sign_of_zero_maps_to_plus():
     zero = SymMatrix(np.zeros((2, 2)))
     assert sign_of(zero).to_rows() == ["++", "++"]

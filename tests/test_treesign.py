@@ -9,6 +9,8 @@ from dninverse import (
     PLUS,
     DimensionMismatch,
     LeafAttachment,
+    LeafRatio,
+    LeafRatioReport,
     NotATree,
     SchurNotPositiveDefinite,
     SignMatrix,
@@ -296,3 +298,147 @@ def test_random_tree_dn_matrix_deterministic():
 def test_random_tree_dn_matrix_rejects_non_tree():
     with pytest.raises(NotATree):
         random_tree_dn_matrix(TRIANGLE, 0)
+
+
+def _reference_leaf_ratio_check(a, a_inverse, g, tol_ratio=1e-8, rel_tol=1e-12):
+    """The per-leaf loop that leaf_ratio_check vectorizes, kept as its reference."""
+    inv = a_inverse.entries
+    floor = 1e3 * zero_threshold(inv, rel_tol)
+    ratios = []
+    violations = []
+    for v in range(1, g.n + 1):
+        if g.degree(v) != 1:
+            continue
+        (p,) = g.neighbors(v)
+        rows = np.array([j for j in range(1, g.n + 1) if j not in (v, p)])
+        if rows.size == 0:
+            continue
+        x = inv[rows - 1, v - 1]
+        y = inv[rows - 1, p - 1]
+        usable = ~((np.abs(x) < floor) & (np.abs(y) < floor))
+        skipped = int((~usable).sum())
+        if not usable.any():
+            ratios.append(LeafRatio(v, p, float("nan"), 0.0, 0, skipped))
+            continue
+        xu = x[usable]
+        yu = y[usable]
+        anchor = int(np.argmax(np.abs(yu)))
+        if yu[anchor] == 0.0:
+            violations.append(f"leaf {v}: parent column vanishes on comparable rows")
+            continue
+        kappa = float(xu[anchor] / yu[anchor])
+        scale = np.maximum(np.maximum(np.abs(xu), np.abs(kappa * yu)), 1e-300)
+        max_dev = float((np.abs(xu - kappa * yu) / scale).max())
+        ratios.append(LeafRatio(v, p, kappa, max_dev, int(usable.sum()), skipped))
+        if kappa >= 0.0:
+            violations.append(f"leaf {v}: ratio {kappa:g} is not negative")
+        if max_dev > tol_ratio:
+            violations.append(
+                f"leaf {v}: relative deviation {max_dev:.3e} exceeds {tol_ratio:g}"
+            )
+    return LeafRatioReport(tuple(ratios), tuple(violations))
+
+
+def _same_report(report, reference):
+    # to_dict turns NaN ratios into None, so equal reports compare equal
+    assert report.to_dict() == reference.to_dict()
+
+
+def test_leaf_ratio_check_equals_reference_loop_on_true_inverses():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        g = random_tree(int(rng.integers(1, 80)), rng)
+        a = random_tree_dn_matrix(g, rng)
+        inv = cholesky_invert(a)
+        for rel_tol in (1e-12, 1e-6, 0.5):  # 0.5 skips every row: NaN ratios
+            _same_report(
+                leaf_ratio_check(a, inv, g, rel_tol=rel_tol),
+                _reference_leaf_ratio_check(a, inv, g, rel_tol=rel_tol),
+            )
+
+
+def test_leaf_ratio_check_equals_reference_loop_on_arbitrary_matrices():
+    # symmetric matrices that are no inverse at all reach every violation:
+    # positive ratios, large deviations, vanishing parent columns
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        g = random_tree(int(rng.integers(3, 30)), rng)
+        arr = rng.normal(size=(g.n, g.n)) * (rng.random((g.n, g.n)) < 0.6)
+        arr = arr + arr.T
+        k = int(rng.integers(g.n))
+        arr[:, k] = arr[k, :] = 0.0
+        m = SymMatrix(arr)
+        _same_report(leaf_ratio_check(m, m, g), _reference_leaf_ratio_check(m, m, g))
+
+
+def test_leaf_ratio_check_reports_vanishing_parent_column():
+    g = UGraph(3, [(1, 2), (2, 3)])
+    m = SymMatrix([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    report = leaf_ratio_check(m, m, g)
+    assert report.violations == (
+        "leaf 1: parent column vanishes on comparable rows",
+        "leaf 3: parent column vanishes on comparable rows",
+    )
+    _same_report(report, _reference_leaf_ratio_check(m, m, g))
+
+
+@pytest.mark.parametrize(
+    "g, leaves",
+    [
+        (UGraph(1), ()),
+        (UGraph(2, [(1, 2)]), ()),  # both vertices are leaves, with no rows to compare
+        (UGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5)]), ((1, 2), (5, 4))),
+        (UGraph(5, [(3, 1), (3, 2), (3, 4), (3, 5)]), ((1, 3), (2, 3), (4, 3), (5, 3))),
+        (UGraph(4, [(1, 4), (4, 2), (4, 3)]), ((1, 4), (2, 4), (3, 4))),
+        (UGraph(4, [(1, 2), (2, 3), (2, 4)]), ((1, 2), (3, 2), (4, 2))),
+    ],
+    ids=["n1", "n2", "path", "star", "star-vertex1-leaf", "vertex1-leaf"],
+)
+def test_tree_layout_edge_cases(g, leaves):
+    a = random_tree_dn_matrix(g, 4)
+    assert matrix_graph(a) == g
+    inv = cholesky_invert(a)
+    report = leaf_ratio_check(a, inv, g)
+    assert report.passed
+    assert tuple((r.leaf, r.parent) for r in report.ratios) == leaves
+    _same_report(report, _reference_leaf_ratio_check(a, inv, g))
+    coloring = two_coloring(g)
+    assert coloring.color_of(1) == 0
+    assert all(coloring.differ(i, j) for i, j in g.edges)
+    assert predict_tree_sign_pattern(g) == sign_of(inv)
+
+
+def test_non_tree_memo_does_not_leak():
+    cycle = UGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    split = UGraph(4, [(1, 2), (1, 3), (2, 3)])  # three edges on four vertices
+    for g in (cycle, split):
+        for _ in range(2):  # the second round reads the memo
+            assert not is_tree(g)
+            for call in (two_coloring, predict_tree_sign_pattern):
+                with pytest.raises(NotATree):
+                    call(g)
+            with pytest.raises(NotATree):
+                random_tree_dn_matrix(g, 0)
+            with pytest.raises(NotATree):
+                odd_distance_predicate(g, 1, 2)
+            with pytest.raises(NotATree):
+                leaf_ratio_check(SymMatrix.identity(4), SymMatrix.identity(4), g)
+    path = UGraph(4, [(1, 2), (2, 3), (3, 4)])
+    assert is_tree(path)
+    assert two_coloring(path).colors == (0, 1, 0, 1)
+    assert path != cycle and is_tree(path) and not is_tree(cycle)
+
+
+def test_random_tree_dn_matrix_draws_one_weight_per_edge_in_edge_order():
+    # the per-edge scalar draws the generator replaced, as its reference
+    for seed in range(20):
+        g = random_tree(int(np.random.default_rng(seed).integers(1, 60)), seed)
+        rng = np.random.default_rng(seed)
+        arr = np.zeros((g.n, g.n))
+        for i, j in g.edges:
+            arr[i - 1, j - 1] = arr[j - 1, i - 1] = rng.uniform(0.5, 2.0)
+        np.fill_diagonal(arr, arr.sum(axis=1) + rng.uniform(0.1, 1.0, size=g.n))
+        after = rng.random()
+        shared = np.random.default_rng(seed)
+        assert random_tree_dn_matrix(g, shared) == SymMatrix(arr)
+        assert shared.random() == after  # the stream continues where it did

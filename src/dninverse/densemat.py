@@ -129,6 +129,20 @@ class SymMatrix:
         self._arr = arr
 
     @classmethod
+    def _symmetrized(cls, arr: np.ndarray) -> "SymMatrix":
+        """Trusted constructor for kernel outputs: stores (arr + arr.T) / 2.
+
+        Skips validation and the asymmetry scan, so ``arr`` must be a finite
+        square array that is symmetric up to rounding. The result is bit for
+        bit what the public constructor makes of ``(arr + arr.T) / 2``.
+        """
+        sym = (arr + arr.T) / 2.0
+        sym.setflags(write=False)
+        matrix = object.__new__(cls)
+        matrix._arr = sym
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "SymMatrix":
         return cls(np.eye(n))
 
@@ -225,8 +239,7 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     linv = scipy.linalg.solve_triangular(
         lower, np.eye(a.n), lower=True, check_finite=False
     )
-    inv = linv.T @ linv
-    return SymMatrix((inv + inv.T) / 2.0)
+    return SymMatrix._symmetrized(linv.T @ linv)
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:
@@ -282,7 +295,7 @@ def matrix_graph(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> UGraph:
     arr = a.entries
     tol = zero_threshold(arr, rel_tol)
     rows, cols = np.nonzero(np.triu(arr > tol, k=1))
-    return UGraph(a.n, zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return UGraph(a.n, np.column_stack((rows + 1, cols + 1)))
 
 
 def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> DnVerdict:

@@ -233,18 +233,20 @@ def tree_sign_campaign(
     A trial fails on a significant contradiction: a predicted-MINUS entry
     above the zero threshold, a predicted-PLUS off-diagonal entry below its
     negation, a nonpositive diagonal entry, or a failed leaf-ratio check.
-    Predicted-MINUS entries whose true magnitude falls inside the threshold
-    band carry no sign information at working precision; they are tallied
-    under ``ambiguous_minus_entries`` rather than treated as contradictions
-    (deep trees produce inverse entries below any fixed relative threshold,
-    since magnitudes decay geometrically with tree distance).
+    Off-diagonal entries whose true magnitude falls inside the threshold band
+    carry no sign information at working precision, whatever their predicted
+    color; they are tallied under ``ambiguous_minus_entries`` and
+    ``ambiguous_plus_entries`` rather than treated as contradictions or as
+    confirmations (deep trees produce inverse entries below any fixed
+    relative threshold, since magnitudes decay geometrically with tree
+    distance).
     """
     lo, hi = n_range
     if not 2 <= lo <= hi:
         raise ValueError(f"size range must satisfy 2 <= lo <= hi, got {n_range}")
     failures = []
     margins: dict[str, float] = {}
-    ambiguous = 0
+    ambiguous_minus = ambiguous_plus = 0
     for index in range(trials):
         ts = trial_seed(seed, index)
         rng = np.random.default_rng(ts)
@@ -263,7 +265,9 @@ def tree_sign_campaign(
             or (inv.diagonal() <= 0.0).any()
         )
         ratio_report = leaf_ratio_check(a, a_inv, g, rel_tol=rel_tol)
-        ambiguous += int((np.abs(inv[minus_mask]) <= tol).sum())
+        in_band = np.abs(inv) <= tol
+        ambiguous_minus += np.count_nonzero(in_band & minus_mask)
+        ambiguous_plus += np.count_nonzero(in_band & plus_off)
         _lower(margins, "min_diagonal_entry", float(inv.diagonal().min()))
         if minus_mask.any():
             _lower(margins, "min_minus_magnitude", float((-inv[minus_mask]).min()))
@@ -274,7 +278,8 @@ def tree_sign_campaign(
             _lower(margins, "ratio_deviation_headroom", TOL_RATIO - max(deviations))
         if contradiction or not ratio_report.passed:
             failures.append(ts)
-    margins["ambiguous_minus_entries"] = float(ambiguous)
+    margins["ambiguous_minus_entries"] = float(ambiguous_minus)
+    margins["ambiguous_plus_entries"] = float(ambiguous_plus)
     return CampaignReport(trials, len(failures), tuple(failures), margins)
 
 

@@ -38,10 +38,10 @@ class SignMatrix:
             raise ValueError(f"expected a square sign matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("sign matrix must have at least one row")
-        arr = arr.astype(np.int8)
-        if not np.isin(arr, (PLUS, MINUS)).all():
+        # checked before the cast, which would wrap 257 onto PLUS
+        if not ((arr == PLUS) | (arr == MINUS)).all():
             raise ValueError("sign entries must be PLUS (+1) or MINUS (-1)")
-        arr = arr.copy()
+        arr = arr.astype(np.int8)  # always a copy
         arr.setflags(write=False)
         self._signs = arr
 
@@ -119,7 +119,7 @@ def negative_sign_graph(s: SignMatrix) -> UGraph:
     if not s.is_symmetric:
         raise AsymmetricSignMatrix("negative-sign graph requires a symmetric pattern")
     rows, cols = np.nonzero(np.triu(s.signs == MINUS, k=1))
-    return UGraph(s.n, zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return UGraph(s.n, np.column_stack((rows + 1, cols + 1)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def check_feasible(s: SignMatrix) -> FeasibilityReport:
     diagonal_ok = bool((arr.diagonal() == PLUS).all())
     minus_either = (arr == MINUS) | (arr.T == MINUS)
     rows, cols = np.nonzero(np.triu(minus_either, k=1))
-    delta = UGraph(s.n, zip((rows + 1).tolist(), (cols + 1).tolist()))
+    delta = UGraph(s.n, np.column_stack((rows + 1, cols + 1)))
     connected, components = is_connected(delta)
     return FeasibilityReport(
         feasible=symmetric_ok and diagonal_ok and connected,

@@ -57,29 +57,27 @@ def _build_layout(g: UGraph) -> _TreeLayout | bool:
     n = g.n
     if g.edge_count != n - 1:
         return False
+    edges = g._edges - 1  # sorted rows (i, j), i < j, as in ``UGraph.edges``
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
     # with n - 1 edges, reaching every vertex from vertex 1 makes g a tree
-    parity = [-1] * (n + 1)
-    parity[1] = 0
-    parent = [0] * (n + 1)
-    order = [1]
+    parity = [-1] * n
+    parity[0] = 0
+    order = [0]
     for u in order:
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if parity[w] < 0:
                 parity[w] = 1 - parity[u]
-                parent[w] = u
                 order.append(w)
     if len(order) != n:
         return False
-    child = np.arange(1, n)
-    up = np.array(parent[2:], dtype=np.intp) - 1
-    lo, hi = np.minimum(child, up), np.maximum(child, up)
-    by_endpoints = np.lexsort((hi, lo))
-    edges = np.column_stack((lo[by_endpoints], hi[by_endpoints]))
     leaves = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 1)
     other = np.empty(n, dtype=np.intp)
     other[edges[:, 0]] = edges[:, 1]
     other[edges[:, 1]] = edges[:, 0]  # a leaf is an endpoint of exactly one edge
-    return _TreeLayout(np.array(parity[1:], dtype=np.int8), edges, leaves, other[leaves])
+    return _TreeLayout(np.array(parity, dtype=np.int8), edges, leaves, other[leaves])
 
 
 def _tree_layout(g: UGraph) -> _TreeLayout | bool:
@@ -108,8 +106,10 @@ def two_coloring(g: UGraph) -> TwoColoring:
 def predict_tree_sign_pattern(g: UGraph) -> SignMatrix:
     """Inverse sign pattern forced by a tree: MINUS where the two-coloring differs."""
     parity = _require_tree(g).parity
-    differ = parity[:, None] ^ parity[None, :]  # int8: 1 where the colors differ
-    return SignMatrix(PLUS + (MINUS - PLUS) * differ)
+    signs = parity[:, None] ^ parity[None, :]  # int8: 1 where the colors differ
+    signs *= MINUS - PLUS
+    signs += PLUS
+    return SignMatrix(signs)
 
 
 def odd_distance_predicate(g: UGraph, i: int, j: int) -> bool:
@@ -191,7 +191,7 @@ def leaf_attach_inverse_update(
     out[:k, k] = border
     out[k, :k] = border
     out[k, k] = 1.0 / d + (c / d) ** 2 * top[i, i]
-    return SymMatrix((out + out.T) / 2.0)
+    return SymMatrix._symmetrized(out)
 
 
 @dataclass(frozen=True)

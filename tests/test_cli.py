@@ -1,9 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dninverse
 from dninverse import cli, densemat, read_matrix, read_sign_matrix, verify_doubly_nonnegative
 from dninverse.cli import main
 
@@ -276,3 +281,28 @@ def test_main_runs_when_no_openblas_is_found(monkeypatch, capsys):
         assert "FEASIBLE" in capsys.readouterr().out
     finally:
         densemat._openblas_pools.cache_clear()
+
+
+def test_predict_on_a_huge_edgeless_graph_exits_1_without_adjacency(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000\n")
+    tracemalloc.start()
+    try:
+        code = main(["predict", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "not a tree" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported on the first connectivity test only; loading it
+    # with the CLI would cost every verb its import time and memory
+    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
+    code = "import sys, dninverse.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,13 +3,18 @@ import pytest
 
 from dninverse import (
     AsymmetricMatrix,
+    LeafAttachment,
     NotConverged,
     NotPositiveDefinite,
     SymMatrix,
     cholesky_invert,
+    leaf_attach_inverse_update,
     matrix_graph,
     min_eigenvalue,
     perron_eigenpair,
+    random_dn_matrix,
+    random_tree,
+    random_tree_dn_matrix,
     verify_doubly_nonnegative,
     zero_threshold,
 )
@@ -188,3 +193,36 @@ def test_verdict_serializes():
         "worst_negative_entry",
         "passed",
     }
+
+
+def _kernel_outputs():
+    """Inverses from both kernels that store their result through the trusted constructor."""
+    out = []
+    for seed in range(12):
+        n = 2 + seed * 7
+        a = random_dn_matrix(n, 0.7, seed)
+        out.append(cholesky_invert(a))
+        g = random_tree(n, seed)
+        base = random_tree_dn_matrix(g, seed)
+        attach = LeafAttachment(base, 1 + seed % n, 0.5 + seed / 10, float(base.entries.sum()))
+        out.append(leaf_attach_inverse_update(cholesky_invert(base), attach))
+    return out
+
+
+def test_trusted_constructor_is_bit_identical_to_the_public_one(monkeypatch):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 40):
+        raw = rng.standard_normal((n, n))
+        raw = raw.T @ raw
+        raw[0, -1] *= 1 + 1e-15  # asymmetric within the public tolerance
+        trusted = SymMatrix._symmetrized(raw)
+        assert np.array_equal(trusted.entries, SymMatrix((raw + raw.T) / 2.0).entries)
+        assert not trusted.entries.flags.writeable
+    # the kernels as they were: symmetrize, then the public constructor
+    trusted = _kernel_outputs()
+    monkeypatch.setattr(
+        SymMatrix, "_symmetrized", classmethod(lambda cls, arr: cls((arr + arr.T) / 2.0))
+    )
+    public = _kernel_outputs()
+    for mine, theirs in zip(trusted, public, strict=True):
+        assert np.array_equal(mine.entries, theirs.entries)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,16 @@ def test_empty_file_reports_whole_file(tmp_path):
         read_graph(path)
     assert info.value.line_no == 0
     assert "no content" in str(info.value)
+
+
+def test_read_graph_of_a_huge_vertex_count_allocates_nothing_per_vertex(tmp_path):
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000\n")
+    tracemalloc.start()
+    try:
+        g = read_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**9 and g.edge_count == 0
+    assert peak < 2**20

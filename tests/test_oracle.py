@@ -3,6 +3,7 @@ import pytest
 
 from dninverse import (
     MINUS,
+    PLUS,
     AsymmetricSignMatrix,
     Bipartition,
     DimensionMismatch,
@@ -17,9 +18,12 @@ from dninverse import (
     necessity_campaign,
     negative_sign_graph,
     perron_eigenpair,
+    predict_tree_sign_pattern,
     quadratic_form_gap,
     random_dn_matrix,
     random_feasible_sign_matrix,
+    random_tree,
+    random_tree_dn_matrix,
     search_nonunique_complete,
     sign_of,
     tree_sign_campaign,
@@ -177,7 +181,28 @@ def test_tree_sign_campaign_passes_and_reproduces():
     assert report.min_margins["min_plus_offdiag"] > 0
     assert report.min_margins["ratio_deviation_headroom"] > 0
     assert "ambiguous_minus_entries" in report.min_margins
+    assert "ambiguous_plus_entries" in report.min_margins
     assert report == tree_sign_campaign((2, 30), 40, seed=13)
+
+
+def test_tree_sign_campaign_tallies_in_band_entries_of_both_colors():
+    # a wide band puts many off-diagonal entries of either predicted color inside it
+    rel_tol = 0.05
+    report = tree_sign_campaign((3, 25), 20, seed=4, rel_tol=rel_tol)
+    counts = {MINUS: 0, PLUS: 0}
+    for index in range(20):
+        rng = np.random.default_rng(trial_seed(4, index))
+        n = int(rng.integers(3, 26))
+        g = random_tree(n, rng)
+        inv = cholesky_invert(random_tree_dn_matrix(g, rng)).entries
+        in_band = np.abs(inv) <= zero_threshold(inv, rel_tol)
+        np.fill_diagonal(in_band, False)
+        predicted = predict_tree_sign_pattern(g).signs
+        for color in counts:
+            counts[color] += int((in_band & (predicted == color)).sum())
+    assert counts[MINUS] > 0 and counts[PLUS] > 0
+    assert report.min_margins["ambiguous_minus_entries"] == counts[MINUS]
+    assert report.min_margins["ambiguous_plus_entries"] == counts[PLUS]
 
 
 def test_campaign_report_serializes():

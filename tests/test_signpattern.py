@@ -38,6 +38,9 @@ def test_sign_matrix_validation():
         SignMatrix(np.array([[1, 2], [2, 1]]))
     with pytest.raises(ValueError):
         SignMatrix(np.zeros((2, 3)))
+    for wraps_to_a_sign in (257, 255, 1.5):  # int8 casting would turn these into +-1
+        with pytest.raises(ValueError):
+            SignMatrix(np.array([[1, wraps_to_a_sign], [wraps_to_a_sign, 1]]))
 
 
 def _reference_to_rows(s):

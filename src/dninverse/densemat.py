@@ -132,11 +132,14 @@ class SymMatrix:
     def _symmetrized(cls, arr: np.ndarray) -> "SymMatrix":
         """Trusted constructor for kernel outputs: stores (arr + arr.T) / 2.
 
-        Skips validation and the asymmetry scan, so ``arr`` must be a finite
-        square array that is symmetric up to rounding. The result is bit for
-        bit what the public constructor makes of ``(arr + arr.T) / 2``.
+        Skips the shape checks and the asymmetry scan, so ``arr`` must be a
+        square array that is symmetric up to rounding. Entries are still
+        checked to be finite: a kernel can overflow. The result is bit for bit
+        what the public constructor makes of ``(arr + arr.T) / 2``.
         """
         sym = (arr + arr.T) / 2.0
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix entries must be finite")
         sym.setflags(write=False)
         matrix = object.__new__(cls)
         matrix._arr = sym

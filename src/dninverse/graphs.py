@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -28,17 +29,30 @@ def _edge_error(n: int, i: int, j: int) -> str | None:
     return None
 
 
+def _first_bad_edge(n: int, pairs) -> Exception | None:
+    """The error for the first bad pair in input order, checked one pair at a time."""
+    for i, j in pairs:
+        if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+            return TypeError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
+        error = _edge_error(n, i, j)
+        if error is not None:
+            return ValueError(error)
+    return None
+
+
 def _canonical_edges(n: int, edges) -> np.ndarray:
     """Edges as a read-only int64 array of rows (i, j), i < j, sorted and without duplicates.
 
-    The first bad edge in input order raises.
+    The first bad edge in input order raises. An array must have an integer
+    dtype; nothing is cast to an integer.
     """
-    if not isinstance(edges, np.ndarray):
+    if isinstance(edges, np.ndarray):
+        if edges.dtype.kind not in "iu":
+            raise TypeError(f"edge array must have an integer dtype, got {edges.dtype}")
+        arr = edges
+    else:
         edges = list(edges)
-    try:
-        arr = np.asarray(edges, dtype=np.int64)
-    except OverflowError:  # some endpoint is beyond int64, hence out of range
-        raise ValueError(next(filter(None, (_edge_error(n, i, j) for i, j in edges)))) from None
+        arr = np.asarray(edges)
     if arr.size == 0:
         arr = np.empty((0, 2), dtype=np.int64)
         arr.setflags(write=False)
@@ -47,17 +61,20 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
         raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
     if n > MAX_KEYED_VERTICES:
         raise ValueError(f"a graph with edges has at most {MAX_KEYED_VERTICES} vertices, got {n}")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    bad = (lo < 1) | (hi > n) | (lo == hi)
+    if arr.dtype.kind not in "iu" or arr.max() > n:
+        # numpy infers float or object for non-integers and for ints beyond int64
+        error = _first_bad_edge(n, edges if isinstance(edges, list) else arr.tolist())
+        if error is not None:
+            raise error
+        arr = arr.astype(np.int64)
+    lo = np.minimum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
+    hi = np.maximum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
+    bad = (lo < 1) | (lo == hi)
     if bad.any():
         raise ValueError(_edge_error(n, *arr[int(bad.argmax())].tolist()))
-    key = lo * (n + 1) + hi
-    if not (key[1:] > key[:-1]).all():  # not already sorted and free of duplicates
-        key = np.sort(key, kind="stable")
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        lo, hi = np.divmod(key, n + 1)
-    rows = np.column_stack((lo, hi))
+    key = np.sort(lo * (n + 1) + hi, kind="stable")
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    rows = np.column_stack(np.divmod(key, n + 1))
     rows.setflags(write=False)
     return rows
 
@@ -93,6 +110,11 @@ class UGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (i, j) pairs with i < j, sorted."""
         return tuple(map(tuple, self._edges.tolist()))
+
+    @property
+    def edge_array(self) -> np.ndarray:
+        """All edges as a read-only (m, 2) int64 array of rows (i, j), i < j, sorted."""
+        return self._edges
 
     @property
     def edge_count(self) -> int:
@@ -156,8 +178,8 @@ def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     from scipy.sparse.csgraph import connected_components as label_components
 
     n = g.n
-    lo = g._edges[:, 0] - 1
-    hi = g._edges[:, 1] - 1  # a contiguous copy, as csgraph requires
+    lo = g.edge_array[:, 0] - 1
+    hi = g.edge_array[:, 1] - 1  # a contiguous copy, as csgraph requires
     indptr = np.searchsorted(lo, np.arange(n + 1))  # rows are sorted by lo
     upper = csr_array((np.ones(hi.size), hi, indptr), shape=(n, n))
     count, labels = label_components(upper, directed=False)

@@ -57,7 +57,7 @@ def _build_layout(g: UGraph) -> _TreeLayout | bool:
     n = g.n
     if g.edge_count != n - 1:
         return False
-    edges = g._edges - 1  # sorted rows (i, j), i < j, as in ``UGraph.edges``
+    edges = g.edge_array - 1  # sorted rows (i, j), i < j, as in ``UGraph.edges``
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges.tolist():
         adj[i].append(j)

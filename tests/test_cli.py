@@ -119,6 +119,14 @@ def test_verify_rejects_negative_entry(tmp_path, capsys):
     assert doc["verdict"]["is_entrywise_nonneg"] is False
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_verify_rejects_a_matrix_whose_inverse_overflows(tmp_path, capsys):
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("1\n1e-310\n")
+    assert main(["verify", str(tiny)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_fuzz_both_campaigns(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(

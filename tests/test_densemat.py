@@ -102,6 +102,19 @@ def test_cholesky_invert_floors_tiny_pivots():
         cholesky_invert(SymMatrix([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_kernels_reject_an_inverse_that_overflows():
+    # the pivot floor is relative, so a lone subnormal entry passes it and its
+    # inverse overflows; the kernels must not hand inf on to the sign code
+    with pytest.raises(ValueError, match="finite"):
+        cholesky_invert(SymMatrix([[1e-310]]))
+    base = SymMatrix([[1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        leaf_attach_inverse_update(base, LeafAttachment(base, 1, 1e-160, 1e-310))
+    with pytest.raises(ValueError, match="finite"):
+        SymMatrix._symmetrized(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_perron_eigenpair_hand_cases():
     pair = perron_eigenpair(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
     assert pair.value == pytest.approx(3.0, abs=1e-10)

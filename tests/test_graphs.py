@@ -249,10 +249,50 @@ def test_ugraph_error_messages_for_the_first_bad_edge():
     assert UGraph(huge).edge_count == 0
     with pytest.raises(ValueError, match="at most"):
         UGraph(huge, [(huge - 1, huge), (1, huge)])
+    # and so must endpoints beyond int64, which numpy would not hold as integers
+    with pytest.raises(ValueError, match="at most"):
+        UGraph(2**64, [(1, 2**63)])
     top = MAX_KEYED_VERTICES
     assert UGraph(top, [(top, top - 1), (1, top), (top - 2, top - 1)]).edges == (
         (1, top), (top - 2, top - 1), (top - 1, top)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _edge_lists(lo_offset=2, hi_offset=2, loops=True),
+    st.integers(0, 40),
+    st.sampled_from([1.9, 2.0, "2", None]),
+)
+def test_ugraph_rejects_non_integer_endpoints_in_order(case, at, endpoint):
+    n, edges = case
+    at = min(at, len(edges))
+    pairs = edges[:at] + [(1, endpoint)] + edges[at:]
+    try:
+        _SetGraph(n, edges[:at])
+    except ValueError as exc:  # a bad integer edge comes first
+        with pytest.raises(ValueError) as raised:
+            UGraph(n, pairs)
+        assert str(raised.value) == str(exc)
+    else:
+        with pytest.raises(TypeError, match="non-integer"):
+            UGraph(n, pairs)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.str_])
+def test_ugraph_rejects_edge_arrays_of_non_integer_dtype(dtype):
+    with pytest.raises(TypeError, match="integer dtype"):
+        UGraph(3, np.array([[1, 2]]).astype(dtype))
+    with pytest.raises(TypeError, match="integer dtype"):
+        UGraph(3, np.empty((0, 2), dtype=dtype))
+
+
+def test_ugraph_accepts_unsigned_arrays_and_numpy_integers():
+    expected = ((1, 2), (2, 3))
+    assert UGraph(3, np.array([[2, 1], [3, 2]], dtype=np.uint64)).edges == expected
+    assert UGraph(3, [(2, 1), (np.int64(3), 2)]).edges == expected
+    with pytest.raises(ValueError, match=r"^edge \(1, 18446744073709551615\) out of range 1\.\.3$"):
+        UGraph(3, np.array([[1, 2], [1, 2**64 - 1]], dtype=np.uint64))
 
 
 def test_ugraph_builds_adjacency_only_on_demand():

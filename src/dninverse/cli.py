@@ -169,7 +169,9 @@ def _cmd_predict(args) -> int:
                 )
         document["distances"] = pairs
     if args.out:
-        write_sign_matrix(args.out, pattern, comment=f"predicted from {args.graph}")
+        write_sign_matrix(
+            args.out, pattern, comment=f"predicted from {args.graph}", rows=rows
+        )
     _emit(args, document, lines)
     return 0
 
@@ -192,11 +194,12 @@ def _cmd_verify(args) -> int:
         pattern = sign_of(inverse, args.tol_zero)
         feasibility = check_feasible(pattern)
         ambiguous = ambiguous_signs(inverse, args.tol_zero)
-        document["inverse_pattern_rows"] = pattern.to_rows()
+        rows = pattern.to_rows()
+        document["inverse_pattern_rows"] = rows
         document["inverse_pattern_feasible"] = feasibility.to_dict()
         document["ambiguous_entries"] = [list(pair) for pair in ambiguous]
         lines.append("  inverse sign pattern:")
-        lines.extend(f"    {row}" for row in pattern.to_rows())
+        lines.extend(f"    {row}" for row in rows)
         lines.append(
             f"  pattern passes the feasibility test: "
             f"{'yes' if feasibility.feasible else 'no'}"

@@ -20,7 +20,7 @@ import scipy
 import scipy.linalg
 
 from .errors import AsymmetricMatrix, NotConverged, NotPositiveDefinite
-from .graphs import UGraph, is_connected
+from .graphs import UGraph, mask_components
 
 REL_TOL_ZERO = 1e-12
 REL_PIVOT_FLOOR = 1e-12
@@ -319,7 +319,7 @@ def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> Dn
         is_symmetric=True,  # SymMatrix construction enforces symmetry
         is_entrywise_nonneg=smallest >= -tol,
         is_positive_definite=positive_definite,
-        is_irreducible=is_connected(matrix_graph(a, rel_tol)).connected,
+        is_irreducible=len(mask_components(arr > tol)) == 1,
         min_eigenvalue=min_eigenvalue(a),
         worst_negative_entry=min(smallest, 0.0),
     )

@@ -96,8 +96,10 @@ def _write_header(handle, n: int, comment: str | None) -> None:
 def write_matrix(path, a: SymMatrix, comment: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         _write_header(handle, a.n, comment)
+        # one %-format per row; "%.17g" % v spells every float as f"{v:.17g}"
+        row_format = " ".join(["%.17g"] * a.n) + "\n"
         for row in a.entries:
-            handle.write(" ".join(f"{value:.17g}" for value in row) + "\n")
+            handle.write(row_format % tuple(row.tolist()))
 
 
 def read_sign_matrix(path) -> SignMatrix:
@@ -110,7 +112,7 @@ def read_sign_matrix(path) -> SignMatrix:
             line_no, text = next(lines)
         except StopIteration:
             raise ParseError(path, 0, f"expected {n} sign rows, found {i}") from None
-        if len(text) != n or any(ch not in "+-" for ch in text):
+        if len(text) != n or text.strip("+-"):
             raise ParseError(
                 path, line_no, f"expected {n} characters from '+-', got {text!r}"
             )
@@ -119,10 +121,13 @@ def read_sign_matrix(path) -> SignMatrix:
     return SignMatrix.from_rows(rows)
 
 
-def write_sign_matrix(path, s: SignMatrix, comment: str | None = None) -> None:
+def write_sign_matrix(
+    path, s: SignMatrix, comment: str | None = None, *, rows: list[str] | None = None
+) -> None:
+    """Write ``s``; ``rows`` are its ``to_rows()`` when the caller has converted them already."""
     with open(path, "w", encoding="utf-8") as handle:
         _write_header(handle, s.n, comment)
-        for row in s.to_rows():
+        for row in s.to_rows() if rows is None else rows:
             handle.write(row + "\n")
 
 

@@ -3,7 +3,9 @@
 Small toolkit backing the matrix code: connectivity with a component
 certificate, BFS distances, and uniform random labeled trees. A graph is one
 sorted int edge array; its adjacency is built only for the callers that walk
-neighbours, and connectivity goes through ``scipy.sparse.csgraph``.
+neighbours, and its connectivity goes through ``scipy.sparse.csgraph``. The
+dense callers, which already hold an n x n boolean mask, skip the edge list:
+``mask_components`` walks the mask itself.
 """
 
 from __future__ import annotations
@@ -187,6 +189,42 @@ def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     parts = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     # disjoint sorted tuples compare by their first, smallest vertex
     return tuple(sorted(tuple(part.tolist()) for part in parts))
+
+
+def mask_components(mask) -> tuple[tuple[int, ...], ...]:
+    """Components of the graph whose adjacency is the symmetric boolean n x n ``mask``.
+
+    Vertex i + 1 is joined to j + 1 when ``mask[i, j]``; the diagonal is
+    ignored. The certificate is the one :func:`connected_components` gives:
+    each component sorted and 1-based, components ordered by minimum vertex.
+    Each component is one frontier BFS whose step ORs the frontier's rows, so
+    the number of numpy calls grows with the graph's diameter: a 2000-vertex
+    path takes about 2000 steps, where the dense masks of DN matrices and of
+    their inverse patterns take a handful. Raises ValueError unless ``mask``
+    is square and symmetric.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ValueError(f"expected a square mask, got shape {mask.shape}")
+    if not np.array_equal(mask, mask.T):
+        raise ValueError("mask must be symmetric")
+    n = mask.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    components = []
+    for start in range(n):  # each unseen start is the minimum of its component
+        if seen[start]:
+            continue
+        seen[start] = True
+        frontier = np.array([start])
+        members = [frontier]
+        while frontier.size:
+            reached = mask[frontier].any(axis=0)
+            reached &= ~seen
+            frontier = np.flatnonzero(reached)
+            seen[frontier] = True
+            members.append(frontier)
+        components.append(tuple((np.sort(np.concatenate(members)) + 1).tolist()))
+    return tuple(components)
 
 
 def is_connected(g: UGraph) -> Connectivity:

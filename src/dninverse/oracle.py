@@ -21,8 +21,8 @@ from .densemat import (
     zero_threshold,
 )
 from .errors import AsymmetricSignMatrix, DimensionMismatch, TooLarge
-from .graphs import is_connected, random_tree
-from .signpattern import MINUS, PLUS, SignMatrix, negative_sign_graph, sign_of
+from .graphs import mask_components, random_tree
+from .signpattern import MINUS, PLUS, SignMatrix, sign_of
 from .treesign import (
     TOL_RATIO,
     leaf_ratio_check,
@@ -137,8 +137,10 @@ def random_dn_matrix(n: int, density: float, seed) -> SymMatrix:
     for _ in range(MAX_RESAMPLES):
         b = rng.random((n, n))
         b[rng.random((n, n)) >= density] = 0.0
-        candidate = SymMatrix(b @ b.T + ridge * np.eye(n))
-        if is_connected(matrix_graph(candidate)).connected:
+        # symmetric up to rounding by construction, so no asymmetry scan
+        candidate = SymMatrix._symmetrized(b @ b.T + ridge * np.eye(n))
+        arr = candidate.entries
+        if len(mask_components(arr > zero_threshold(arr))) == 1:
             return candidate
     raise RuntimeError(
         f"no irreducible draw of size {n} in {MAX_RESAMPLES} attempts "
@@ -208,13 +210,14 @@ def necessity_campaign(
         a_inv = cholesky_invert(a)
         inv = a_inv.entries
         pattern = sign_of(a_inv, rel_tol)
+        minus = pattern.signs == MINUS
         ok = (
             pattern.is_symmetric
             and bool((pattern.signs.diagonal() == PLUS).all())
-            and is_connected(negative_sign_graph(pattern)).connected
+            and len(mask_components(minus)) == 1
         )
         _lower(margins, "min_diagonal_entry", float(inv.diagonal().min()))
-        minus_entries = inv[pattern.signs == MINUS]
+        minus_entries = inv[minus]
         if minus_entries.size:
             _lower(margins, "min_minus_magnitude", float((-minus_entries).min()))
         if not ok:

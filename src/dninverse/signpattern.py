@@ -17,7 +17,7 @@ import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import AsymmetricSignMatrix, InfeasiblePattern
-from .graphs import UGraph, is_connected, random_tree
+from .graphs import UGraph, mask_components, random_tree
 
 PLUS: int = 1
 MINUS: int = -1
@@ -153,10 +153,8 @@ def check_feasible(s: SignMatrix) -> FeasibilityReport:
     arr = s.signs
     symmetric_ok = s.is_symmetric
     diagonal_ok = bool((arr.diagonal() == PLUS).all())
-    minus_either = (arr == MINUS) | (arr.T == MINUS)
-    rows, cols = np.nonzero(np.triu(minus_either, k=1))
-    delta = UGraph(s.n, np.column_stack((rows + 1, cols + 1)))
-    connected, components = is_connected(delta)
+    components = mask_components((arr == MINUS) | (arr.T == MINUS))
+    connected = len(components) == 1
     return FeasibilityReport(
         feasible=symmetric_ok and diagonal_ok and connected,
         symmetric_ok=symmetric_ok,

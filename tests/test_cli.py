@@ -306,11 +306,38 @@ def test_predict_on_a_huge_edgeless_graph_exits_1_without_adjacency(tmp_path, ca
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported on the first connectivity test only; loading it
-    # with the CLI would cost every verb its import time and memory
+    # scipy.sparse is imported by the first connectivity test of a UGraph only;
+    # loading it with the CLI would cost every verb its import time and memory
     package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
     code = "import sys, dninverse.cli; print('scipy.sparse' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(package_root)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
+    # check, verify, witness and the necessity campaign test connectivity on
+    # the boolean mask they hold, never through an edge-list graph
+    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
+    calls = [
+        ["check", str(FIXTURES / "path3.signs")],
+        ["check", str(FIXTURES / "infeasible_split.signs")],
+        ["verify", str(FIXTURES / "path3_matrix.txt")],
+        ["witness", str(FIXTURES / "path3.signs"), "--out", str(tmp_path / "w.txt")],
+        ["fuzz", "--theorem", "1", "--trials", "5", "--seed", "3", "--n-min", "2", "--n-max", "30"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dninverse.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'scipy.sparse' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 1, 0, 0, 0] False"

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_matrix_reader_rejects_missing_file(tmp_path):
         read_matrix(tmp_path / "absent.txt")
 
 
+def test_matrix_writer_spells_each_entry_as_the_format_spec_does(tmp_path):
+    edge = [
+        -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2 / 3,
+        1e17, 123456789012345678.0, 2.0**60, 9.999999999999999e22, 7.0, -1.5,
+    ]
+    n = len(edge)
+    rng = np.random.default_rng(3)
+    values = np.array(edge)[rng.integers(0, n, size=(n, n))]
+    # write_matrix reads only n and the entries; a SymMatrix cannot hold
+    # +-1.7976931348623157e308, since (M + M^T) / 2 overflows on it
+    a = SimpleNamespace(n=n, entries=np.triu(values) + np.triu(values, k=1).T)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a, comment="edge values")
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in a.entries.tolist()]
+    assert path.read_text() == "# edge values\n" + f"{n}\n" + "".join(row + "\n" for row in rows)
+
+
 def test_sign_matrix_round_trip(tmp_path):
     path = tmp_path / "s.txt"
     s = SignMatrix.from_rows(["+-+", "-+-", "+-+"])
@@ -106,6 +125,18 @@ def test_sign_matrix_reader_errors(tmp_path):
     with pytest.raises(ParseError) as info:
         read_sign_matrix(path)
     assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("bad", ["x", "0", "*", "\u2212", "\u00e9", "\u2795"])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_sign_matrix_reader_names_a_bad_character_anywhere_in_a_row(tmp_path, bad, at):
+    row = "+-+-+"[:at] + bad + "+-+-+"[at + 1 :]
+    path = tmp_path / "s.txt"
+    path.write_text("# probe\n5\n+++++\n" + row + "\n+++++\n+++++\n+++++\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_sign_matrix(path)
+    assert info.value.line_no == 4
+    assert info.value.reason == f"expected 5 characters from '+-', got {row!r}"
 
 
 def test_graph_round_trip(tmp_path):

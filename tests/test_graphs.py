@@ -13,7 +13,7 @@ from dninverse import (
     is_connected,
     random_tree,
 )
-from dninverse.graphs import MAX_KEYED_VERTICES
+from dninverse.graphs import MAX_KEYED_VERTICES, mask_components
 
 
 def test_ugraph_basics():
@@ -330,3 +330,59 @@ def test_random_tree_equals_reference_decoding_and_draws():
             rng = np.random.default_rng(seed)
             assert random_tree(n, shared).edges == _reference_random_tree(n, rng).edges
             assert shared.random() == rng.random()  # the stream continues where it did
+
+
+@st.composite
+def _symmetric_masks(draw):
+    """Symmetric boolean masks, n = 1..40: random, empty, path-shaped or split into groups."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "empty", "path", "groups"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((n, n), dtype=bool)
+    if kind == "random":
+        mask = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), k=1)
+    elif kind == "path":  # the widest diameter n vertices can have
+        order = rng.permutation(n)
+        mask[order[:-1], order[1:]] = True
+    elif kind == "groups":  # no edge between groups, so at least that many components
+        group = rng.integers(0, draw(st.integers(1, 5)), size=n)
+        mask = (rng.random((n, n)) < draw(st.floats(0.0, 1.0))) & (group[:, None] == group[None, :])
+    mask |= mask.T
+    if draw(st.booleans()):  # the diagonal is ignored
+        np.fill_diagonal(mask, True)
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_masks())
+def test_mask_components_match_csgraph_and_set_based_reference(mask):
+    n = mask.shape[0]
+    rows, cols = np.nonzero(np.triu(mask, k=1))
+    edges = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    expected = _SetGraph(n, edges).components()
+    assert mask_components(mask) == expected
+    assert connected_components(UGraph(n, edges)) == expected
+
+
+def test_mask_components_hand_cases():
+    assert mask_components(np.ones((1, 1), dtype=bool)) == ((1,),)
+    assert mask_components(np.eye(3, dtype=bool)) == ((1,), (2,), (3,))
+    path = np.zeros((5, 5), dtype=bool)
+    for i, j in [(4, 1), (1, 3), (3, 0), (0, 2)]:  # 5 - 2 - 4 - 1 - 3
+        path[i, j] = path[j, i] = True
+    assert mask_components(path) == ((1, 2, 3, 4, 5),)
+    path[3, 0] = path[0, 3] = False
+    assert mask_components(path) == ((1, 3), (2, 4, 5))
+    # any array that holds a symmetric 0/1 pattern will do
+    assert mask_components([[0, 1, 0], [1, 0, 0], [0, 0, 7]]) == ((1, 2), (3,))
+
+
+def test_mask_components_rejects_non_square_and_asymmetric_masks():
+    with pytest.raises(ValueError, match="square"):
+        mask_components(np.zeros((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="square"):
+        mask_components(np.zeros(4, dtype=bool))
+    lopsided = np.zeros((3, 3), dtype=bool)
+    lopsided[0, 2] = True
+    with pytest.raises(ValueError, match="symmetric"):
+        mask_components(lopsided)

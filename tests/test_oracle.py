@@ -32,6 +32,8 @@ from dninverse import (
     zero_threshold,
 )
 
+from dninverse.oracle import RIDGE_FACTOR
+
 SPLIT = SignMatrix.from_rows(["+-++", "-+++", "+++-", "++-+"])
 
 
@@ -128,6 +130,21 @@ def test_random_dn_matrix_properties():
         m = random_dn_matrix(7, 0.6, seed)
         assert verify_doubly_nonnegative(m).passed
     assert random_dn_matrix(6, 0.3, 5) == random_dn_matrix(6, 0.3, 5)
+
+
+def test_random_dn_matrix_equals_the_public_constructor_draw_for_draw():
+    # each draw checked with the public constructor and an edge-list graph, as
+    # before the trusted constructor and the mask: the same values, bit for bit
+    for n, density in [(2, 0.3), (5, 0.4), (17, 0.3), (60, 0.9), (120, 1.0)]:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            while True:
+                b = rng.random((n, n))
+                b[rng.random((n, n)) >= density] = 0.0
+                expected = SymMatrix(b @ b.T + RIDGE_FACTOR * n * np.eye(n))
+                if is_connected(matrix_graph(expected)).connected:
+                    break
+            assert np.array_equal(random_dn_matrix(n, density, seed).entries, expected.entries)
 
 
 def test_random_dn_matrix_validation():

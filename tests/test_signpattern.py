@@ -18,6 +18,7 @@ from dninverse import (
     random_feasible_sign_matrix,
     sign_of,
 )
+from dninverse.graphs import UGraph, is_connected
 
 SPLIT_ROWS = ["+-++", "-+++", "+++-", "++-+"]
 
@@ -154,6 +155,33 @@ def test_check_feasible_flags_asymmetry_without_raising():
     report = check_feasible(SignMatrix(np.array([[1, -1], [1, 1]])))
     assert not report.symmetric_ok
     assert not report.feasible
+
+
+def _feasibility_on_an_edge_list(s):
+    """check_feasible as it was on the UGraph path, kept as its reference."""
+    arr = s.signs
+    minus_either = (arr == MINUS) | (arr.T == MINUS)
+    rows, cols = np.nonzero(np.triu(minus_either, k=1))
+    connected, components = is_connected(UGraph(s.n, np.column_stack((rows + 1, cols + 1))))
+    symmetric_ok = s.is_symmetric
+    diagonal_ok = bool((arr.diagonal() == PLUS).all())
+    return symmetric_ok and diagonal_ok and connected, symmetric_ok, diagonal_ok, connected, components
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_check_feasible_certificate_on_asymmetric_patterns_matches_edge_list_path(n, density, seed):
+    rng = np.random.default_rng(seed)
+    # each entry drawn on its own: asymmetric, and MINUS on the diagonal too
+    s = SignMatrix(np.where(rng.random((n, n)) < density, MINUS, PLUS))
+    report = check_feasible(s)
+    assert (
+        report.feasible,
+        report.symmetric_ok,
+        report.diagonal_ok,
+        report.delta_connected,
+        report.delta_components,
+    ) == _feasibility_on_an_edge_list(s)
 
 
 def test_check_feasible_flags_minus_diagonal():

@@ -268,28 +268,25 @@ def _cmd_search_nonunique(args) -> int:
             [f"no second inverse sign pattern in {args.max_trials} trials at n = {args.n}"],
         )
         return 1
-    diff = [
-        (i + 1, j + 1)
-        for i in range(args.n)
-        for j in range(args.n)
-        if found.first_pattern.signs[i, j] != found.second_pattern.signs[i, j]
-        and i <= j
-    ]
+    first_rows = found.first_pattern.to_rows()
+    second_rows = found.second_pattern.to_rows()
+    differ = found.first_pattern.signs != found.second_pattern.signs
+    diff = (np.argwhere(np.triu(differ)) + 1).tolist()  # (i, j), i <= j, row by row
     lines = _tolerance_header(args) + [
         f"distinct inverse sign patterns after {found.trials_used} trials at n = {args.n}",
         "pattern of first inverse:",
-        *(f"  {row}" for row in found.first_pattern.to_rows()),
+        *(f"  {row}" for row in first_rows),
         "pattern of second inverse:",
-        *(f"  {row}" for row in found.second_pattern.to_rows()),
+        *(f"  {row}" for row in second_rows),
         "differing positions: " + " ".join(f"({i},{j})" for i, j in diff),
     ]
     document = {
         "found": True,
         "n": args.n,
         "trials_used": found.trials_used,
-        "first_pattern_rows": found.first_pattern.to_rows(),
-        "second_pattern_rows": found.second_pattern.to_rows(),
-        "differing_positions": [list(pair) for pair in diff],
+        "first_pattern_rows": first_rows,
+        "second_pattern_rows": second_rows,
+        "differing_positions": diff,
     }
     if args.out:
         first_path = f"{args.out}-a.txt"
@@ -300,9 +297,7 @@ def _cmd_search_nonunique(args) -> int:
         with open(diff_path, "w", encoding="utf-8") as handle:
             handle.write("# inverse sign patterns of the paired matrices\n")
             handle.write(f"{args.n}\n")
-            for row in found.first_pattern.to_rows():
-                handle.write(row + "\n")
-            for row in found.second_pattern.to_rows():
+            for row in first_rows + second_rows:
                 handle.write(row + "\n")
             for i, j in diff:
                 handle.write(f"# differ at ({i}, {j})\n")

@@ -99,6 +99,13 @@ def zero_threshold(values, rel: float = REL_TOL_ZERO) -> float:
     return rel * float(np.abs(arr).max())
 
 
+def _symmetric_part(arr: np.ndarray) -> np.ndarray:
+    """(arr + arr^T) / 2 summed as halves: no overflow near the float maximum, and,
+    since halving is exact above the subnormals, bit for bit the same elsewhere."""
+    half = 0.5 * arr
+    return half + half.T
+
+
 class SymMatrix:
     """Dense real symmetric matrix, immutable after construction.
 
@@ -124,20 +131,20 @@ class SymMatrix:
                 f"asymmetry {asym:.3e} exceeds {rel_sym_tol:g} * max|entry| = "
                 f"{rel_sym_tol * scale:.3e}"
             )
-        arr = (arr + arr.T) / 2.0
+        arr = _symmetric_part(arr)
         arr.setflags(write=False)
         self._arr = arr
 
     @classmethod
     def _symmetrized(cls, arr: np.ndarray) -> "SymMatrix":
-        """Trusted constructor for kernel outputs: stores (arr + arr.T) / 2.
+        """Trusted constructor for kernel outputs: stores the symmetric part of ``arr``.
 
         Skips the shape checks and the asymmetry scan, so ``arr`` must be a
         square array that is symmetric up to rounding. Entries are still
         checked to be finite: a kernel can overflow. The result is bit for bit
-        what the public constructor makes of ``(arr + arr.T) / 2``.
+        what the public constructor makes of ``arr``.
         """
-        sym = (arr + arr.T) / 2.0
+        sym = _symmetric_part(arr)
         if not np.isfinite(sym).all():
             raise ValueError("matrix entries must be finite")
         sym.setflags(write=False)

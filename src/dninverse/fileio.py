@@ -33,8 +33,15 @@ class ParseError(DnInverseError):
 
 
 def _content_lines(path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
+    # undecodable bytes come through as lone surrogates, so each line is checked
+    # on its own and a bad byte is reported with its line number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = f"0x{ord(raw[exc.start]) - 0xDC00:02x}"
+                raise ParseError(path, line_no, f"byte {byte} is not UTF-8") from None
             stripped = raw.strip()
             if stripped and not stripped.startswith("#"):
                 yield line_no, stripped

@@ -2,8 +2,9 @@
 
 Small toolkit backing the matrix code: connectivity with a component
 certificate, BFS distances, and uniform random labeled trees. A graph is one
-sorted int edge array; its adjacency is built only for the callers that walk
-neighbours, and its connectivity goes through ``scipy.sparse.csgraph``. The
+sorted int edge array plus the package's only adjacency, a CSR built on first
+use: ``scipy.sparse.csgraph`` labels components on it, and the one BFS here,
+behind ``bfs_distances`` and the tree layout of ``treesign``, walks it. The
 dense callers, which already hold an n x n boolean mask, skip the edge list:
 ``mask_components`` walks the mask itself.
 """
@@ -22,24 +23,12 @@ import numpy as np
 MAX_KEYED_VERTICES = math.isqrt(2**63 - 1) - 1
 
 
-def _edge_error(n: int, i: int, j: int) -> str | None:
-    """What is wrong with edge (i, j) on vertices 1..n: out of range before self-loop."""
+def _check_edge(n: int, i: int, j: int) -> None:
+    """Raise ValueError for a bad edge (i, j) on 1..n: out of range before self-loop."""
     if not (1 <= i <= n and 1 <= j <= n):
-        return f"edge ({i}, {j}) out of range 1..{n}"
+        raise ValueError(f"edge ({i}, {j}) out of range 1..{n}")
     if i == j:
-        return f"self-loop at vertex {i}"
-    return None
-
-
-def _first_bad_edge(n: int, pairs) -> Exception | None:
-    """The error for the first bad pair in input order, checked one pair at a time."""
-    for i, j in pairs:
-        if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
-            return TypeError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
-        error = _edge_error(n, i, j)
-        if error is not None:
-            return ValueError(error)
-    return None
+        raise ValueError(f"self-loop at vertex {i}")
 
 
 def _canonical_edges(n: int, edges) -> np.ndarray:
@@ -63,17 +52,19 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
         raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
     if n > MAX_KEYED_VERTICES:
         raise ValueError(f"a graph with edges has at most {MAX_KEYED_VERTICES} vertices, got {n}")
-    if arr.dtype.kind not in "iu" or arr.max() > n:
-        # numpy infers float or object for non-integers and for ints beyond int64
-        error = _first_bad_edge(n, edges if isinstance(edges, list) else arr.tolist())
-        if error is not None:
-            raise error
+    if arr.dtype.kind not in "iu":
+        # numpy infers float or object for non-integers and for ints beyond
+        # int64, so those lists are checked pair by pair, in input order
+        for i, j in edges:
+            if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+                raise TypeError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
+            _check_edge(n, i, j)
         arr = arr.astype(np.int64)
+    bad = ((arr < 1) | (arr > n)).any(axis=1) | (arr[:, 0] == arr[:, 1])
+    if bad.any():
+        _check_edge(n, *arr[int(bad.argmax())].tolist())  # the first bad row raises
     lo = np.minimum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
     hi = np.maximum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
-    bad = (lo < 1) | (lo == hi)
-    if bad.any():
-        raise ValueError(_edge_error(n, *arr[int(bad.argmax())].tolist()))
     key = np.sort(lo * (n + 1) + hi, kind="stable")
     key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     rows = np.column_stack(np.divmod(key, n + 1))
@@ -88,10 +79,11 @@ class UGraph:
     graph keeps one canonical int64 edge array (rows i < j, sorted, no
     duplicates), so equality and hashing compare edge sets. ``_csr`` is the
     adjacency ``(indptr, indices)``, built on first use: the neighbours of v,
-    ascending, are ``indices[indptr[v]:indptr[v + 1]]``. ``_tree`` memoizes the
-    validated tree layout that ``treesign`` builds on first use (``False`` for
-    a non-tree). Both are derived from the edges and take no part in equality
-    or hashing.
+    ascending, are ``indices[indptr[v]:indptr[v + 1]]`` (row 0 is empty), and
+    connectivity, the BFS and the tree layout all read it. ``_tree`` memoizes
+    the validated tree layout that ``treesign`` builds on first use (``False``
+    for a non-tree). Both are derived from the edges and take no part in
+    equality or hashing.
     """
 
     __slots__ = ("_n", "_edges", "_csr", "_tree")
@@ -179,12 +171,10 @@ def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components as label_components
 
-    n = g.n
-    lo = g.edge_array[:, 0] - 1
-    hi = g.edge_array[:, 1] - 1  # a contiguous copy, as csgraph requires
-    indptr = np.searchsorted(lo, np.arange(n + 1))  # rows are sorted by lo
-    upper = csr_array((np.ones(hi.size), hi, indptr), shape=(n, n))
-    count, labels = label_components(upper, directed=False)
+    indptr, indices = g._adjacency()
+    # drop the unused vertex 0: its row is empty, so indptr[1:] starts at 0
+    adjacency = csr_array((np.ones(indices.size), indices - 1, indptr[1:]), shape=(g.n, g.n))
+    count, labels = label_components(adjacency, directed=False)
     members = np.argsort(labels, kind="stable") + 1  # grouped by label, ascending within
     parts = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     # disjoint sorted tuples compare by their first, smallest vertex
@@ -233,20 +223,28 @@ def is_connected(g: UGraph) -> Connectivity:
     return Connectivity(len(components) == 1, components)
 
 
-def bfs_distances(g: UGraph, source: int) -> dict[int, int]:
-    """Hop distances from source to every reachable vertex."""
-    g._check_vertex(source)
+def _bfs(g: UGraph, source: int) -> tuple[list[int], list[int]]:
+    """Breadth-first walk from ``source``: the reached vertices in visiting order,
+    and the depth of every vertex by vertex number (-1 when unreached)."""
     indptr, indices = g._adjacency()
     starts, targets = indptr.tolist(), indices.tolist()
-    dist = {source: 0}
-    queue = [source]
-    for u in queue:
-        step = dist[u] + 1
+    depth = [-1] * (g.n + 1)
+    depth[source] = 0
+    order = [source]
+    for u in order:
+        step = depth[u] + 1
         for w in targets[starts[u] : starts[u + 1]]:
-            if w not in dist:
-                dist[w] = step
-                queue.append(w)
-    return dist
+            if depth[w] < 0:
+                depth[w] = step
+                order.append(w)
+    return order, depth
+
+
+def bfs_distances(g: UGraph, source: int) -> dict[int, int]:
+    """Hop distances from source to every reachable vertex, in visiting order."""
+    g._check_vertex(source)
+    order, depth = _bfs(g, source)
+    return {v: depth[v] for v in order}
 
 
 def random_tree(n: int, seed) -> UGraph:

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import (
-    REL_TOL_ZERO,
-    SymMatrix,
-    cholesky_invert,
-    matrix_graph,
-    zero_threshold,
-)
+from .densemat import REL_TOL_ZERO, SymMatrix, cholesky_invert, zero_threshold
 from .errors import AsymmetricSignMatrix, DimensionMismatch, TooLarge
 from .graphs import mask_components, random_tree
 from .signpattern import MINUS, PLUS, SignMatrix, sign_of
@@ -176,9 +170,32 @@ def trial_seed(seed: int, index: int) -> int:
     return int(state[0])
 
 
-def _lower(margins: dict[str, float], key: str, value: float) -> None:
-    if key not in margins or value < margins[key]:
-        margins[key] = value
+def _run_trials(n_range, trials, seed, trial, summed=()) -> CampaignReport:
+    """The report of ``trials`` runs of ``trial(rng, n) -> (passed, margins)``.
+
+    Each run's generator is seeded by its trial seed and first draws n from
+    ``n_range`` (inclusive). The report keeps each margin's minimum, in
+    first-seen order, then the totals of the margins named in ``summed``.
+    """
+    lo, hi = n_range
+    if not 2 <= lo <= hi:
+        raise ValueError(f"size range must satisfy 2 <= lo <= hi, got {n_range}")
+    failures = []
+    margins: dict[str, float] = {}
+    totals = dict.fromkeys(summed, 0)
+    for index in range(trials):
+        ts = trial_seed(seed, index)
+        rng = np.random.default_rng(ts)
+        passed, values = trial(rng, int(rng.integers(lo, hi + 1)))
+        for key, value in values.items():
+            if key in totals:
+                totals[key] += value
+            elif key not in margins or value < margins[key]:
+                margins[key] = value
+        if not passed:
+            failures.append(ts)
+    margins.update((key, float(total)) for key, total in totals.items())
+    return CampaignReport(trials, len(failures), tuple(failures), margins)
 
 
 def necessity_campaign(
@@ -196,33 +213,25 @@ def necessity_campaign(
     sign pattern is symmetric with an all-plus diagonal and a connected
     negative-sign graph.
     """
-    lo, hi = n_range
-    if not 2 <= lo <= hi:
-        raise ValueError(f"size range must satisfy 2 <= lo <= hi, got {n_range}")
-    failures = []
-    margins: dict[str, float] = {}
-    for index in range(trials):
-        ts = trial_seed(seed, index)
-        rng = np.random.default_rng(ts)
-        n = int(rng.integers(lo, hi + 1))
+
+    def trial(rng, n):
         dens = float(rng.uniform(*DENSITY_RANGE)) if density is None else density
-        a = random_dn_matrix(n, dens, rng)
-        a_inv = cholesky_invert(a)
+        a_inv = cholesky_invert(random_dn_matrix(n, dens, rng))
         inv = a_inv.entries
         pattern = sign_of(a_inv, rel_tol)
         minus = pattern.signs == MINUS
-        ok = (
+        passed = (
             pattern.is_symmetric
             and bool((pattern.signs.diagonal() == PLUS).all())
             and len(mask_components(minus)) == 1
         )
-        _lower(margins, "min_diagonal_entry", float(inv.diagonal().min()))
+        margins = {"min_diagonal_entry": float(inv.diagonal().min())}
         minus_entries = inv[minus]
         if minus_entries.size:
-            _lower(margins, "min_minus_magnitude", float((-minus_entries).min()))
-        if not ok:
-            failures.append(ts)
-    return CampaignReport(trials, len(failures), tuple(failures), margins)
+            margins["min_minus_magnitude"] = float((-minus_entries).min())
+        return passed, margins
+
+    return _run_trials(n_range, trials, seed, trial)
 
 
 def tree_sign_campaign(
@@ -244,16 +253,8 @@ def tree_sign_campaign(
     relative threshold, since magnitudes decay geometrically with tree
     distance).
     """
-    lo, hi = n_range
-    if not 2 <= lo <= hi:
-        raise ValueError(f"size range must satisfy 2 <= lo <= hi, got {n_range}")
-    failures = []
-    margins: dict[str, float] = {}
-    ambiguous_minus = ambiguous_plus = 0
-    for index in range(trials):
-        ts = trial_seed(seed, index)
-        rng = np.random.default_rng(ts)
-        n = int(rng.integers(lo, hi + 1))
+
+    def trial(rng, n):
         g = random_tree(n, rng)
         a = random_tree_dn_matrix(g, rng)
         a_inv = cholesky_invert(a)
@@ -269,21 +270,20 @@ def tree_sign_campaign(
         )
         ratio_report = leaf_ratio_check(a, a_inv, g, rel_tol=rel_tol)
         in_band = np.abs(inv) <= tol
-        ambiguous_minus += np.count_nonzero(in_band & minus_mask)
-        ambiguous_plus += np.count_nonzero(in_band & plus_off)
-        _lower(margins, "min_diagonal_entry", float(inv.diagonal().min()))
+        margins = {"min_diagonal_entry": float(inv.diagonal().min())}
         if minus_mask.any():
-            _lower(margins, "min_minus_magnitude", float((-inv[minus_mask]).min()))
+            margins["min_minus_magnitude"] = float((-inv[minus_mask]).min())
         if plus_off.any():
-            _lower(margins, "min_plus_offdiag", float(inv[plus_off].min()))
+            margins["min_plus_offdiag"] = float(inv[plus_off].min())
         deviations = [r.max_rel_deviation for r in ratio_report.ratios]
         if deviations:
-            _lower(margins, "ratio_deviation_headroom", TOL_RATIO - max(deviations))
-        if contradiction or not ratio_report.passed:
-            failures.append(ts)
-    margins["ambiguous_minus_entries"] = float(ambiguous_minus)
-    margins["ambiguous_plus_entries"] = float(ambiguous_plus)
-    return CampaignReport(trials, len(failures), tuple(failures), margins)
+            margins["ratio_deviation_headroom"] = TOL_RATIO - max(deviations)
+        margins["ambiguous_minus_entries"] = np.count_nonzero(in_band & minus_mask)
+        margins["ambiguous_plus_entries"] = np.count_nonzero(in_band & plus_off)
+        return not contradiction and ratio_report.passed, margins
+
+    summed = ("ambiguous_minus_entries", "ambiguous_plus_entries")
+    return _run_trials(n_range, trials, seed, trial, summed)
 
 
 @dataclass(frozen=True)
@@ -310,13 +310,14 @@ def search_nonunique_complete(
     """
     if n < 3:
         raise ValueError(f"complete-graph patterns are forced below size 3, got {n}")
-    complete_count = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     first = None
     first_pattern = None
     for index in range(max_trials):
         a = random_dn_matrix(n, 1.0, rng)
-        if matrix_graph(a).edge_count != complete_count:
+        # complete when every entry clears the zero band: the diagonal of a
+        # draw is at least its ridge, so only the off-diagonal entries can fail
+        if not (a.entries > zero_threshold(a.entries)).all():
             continue
         pattern = sign_of(cholesky_invert(a), rel_tol)
         if first is None:

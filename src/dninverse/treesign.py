@@ -6,6 +6,9 @@ different colors in the tree's two-coloring, equivalently when their tree
 distance is odd. This module provides the prediction, the leaf-attachment
 rank-one inverse update that drives the induction behind it, the proportional
 leaf-column property, and a generator of random tree-structured instances.
+A graph is validated as a tree once, by one BFS from vertex 1 over its CSR
+adjacency, into a layout memoized on the graph: the parities of the BFS depths
+are the two-coloring, and the CSR degrees give the leaves and their neighbors.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import DimensionMismatch, NotATree, SchurNotPositiveDefinite
-from .graphs import UGraph, bfs_distances
+from .graphs import UGraph, _bfs, bfs_distances
 from .signpattern import MINUS, PLUS, SignMatrix
 
 TOL_RATIO = 1e-8
@@ -47,7 +50,6 @@ class _TreeLayout:
     """A graph validated as a tree by one BFS from vertex 1; arrays are 0-based."""
 
     parity: np.ndarray  # int8 BFS depth parity, the two-coloring
-    edges: np.ndarray  # (n - 1, 2) endpoints, rows in ``UGraph.edges`` order
     leaves: np.ndarray  # degree-1 vertices, ascending
     leaf_nbrs: np.ndarray  # the one neighbor of each leaf
 
@@ -57,27 +59,15 @@ def _build_layout(g: UGraph) -> _TreeLayout | bool:
     n = g.n
     if g.edge_count != n - 1:
         return False
-    edges = g.edge_array - 1  # sorted rows (i, j), i < j, as in ``UGraph.edges``
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges.tolist():
-        adj[i].append(j)
-        adj[j].append(i)
     # with n - 1 edges, reaching every vertex from vertex 1 makes g a tree
-    parity = [-1] * n
-    parity[0] = 0
-    order = [0]
-    for u in order:
-        for w in adj[u]:
-            if parity[w] < 0:
-                parity[w] = 1 - parity[u]
-                order.append(w)
+    order, depth = _bfs(g, 1)
     if len(order) != n:
         return False
-    leaves = np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 1)
-    other = np.empty(n, dtype=np.intp)
-    other[edges[:, 0]] = edges[:, 1]
-    other[edges[:, 1]] = edges[:, 0]  # a leaf is an endpoint of exactly one edge
-    return _TreeLayout(np.array(parity, dtype=np.int8), edges, leaves, other[leaves])
+    # depths reach n - 1, so take the parity before narrowing to int8
+    parity = (np.array(depth[1:]) & 1).astype(np.int8)
+    indptr, indices = g._adjacency()
+    leaves = np.flatnonzero(np.diff(indptr[1:]) == 1)
+    return _TreeLayout(parity, leaves, indices[indptr[leaves + 1]] - 1)
 
 
 def _tree_layout(g: UGraph) -> _TreeLayout | bool:
@@ -306,7 +296,8 @@ def random_tree_dn_matrix(g: UGraph, seed) -> SymMatrix:
     weight sum plus a slack uniform on [0.1, 1.0], which makes the matrix
     strictly diagonally dominant and hence positive definite.
     """
-    i, j = _require_tree(g).edges.T
+    _require_tree(g)
+    i, j = (g.edge_array - 1).T
     rng = np.random.default_rng(seed)
     arr = np.zeros((g.n, g.n))
     weights = rng.uniform(0.5, 2.0, size=g.n - 1)  # one draw per edge, in edge order

@@ -127,6 +127,26 @@ def test_verify_rejects_a_matrix_whose_inverse_overflows(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_gives_a_verdict_on_entries_near_the_float_maximum(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("2\n1.7976931348623157e308 1\n1 1.7976931348623157e308\n")
+    assert np.isfinite(read_matrix(path).entries).all()
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "matrix 2x2: NOT doubly nonnegative" in captured.out
+    assert "irreducible: no" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("verb", ["verify", "check"])
+def test_a_byte_that_is_not_utf8_exits_2_naming_the_line(tmp_path, capsys, verb):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2\n1 0\xff\n0 1\n")
+    assert main([verb, str(path)]) == 2
+    assert f"error: {path}:2: byte 0xff" in capsys.readouterr().err
+
+
 def test_fuzz_both_campaigns(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(
@@ -183,6 +203,23 @@ def test_search_nonunique_writes_pair(tmp_path, capsys):
     assert verify_doubly_nonnegative(first).passed
     assert verify_doubly_nonnegative(second).passed
     assert "differing positions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, pair", [(3, "nonunique_pair"), (4, "nonunique_pair_n4")])
+def test_search_nonunique_output_is_pinned(n, pair, tmp_path, capsys):
+    expected = json.loads((FIXTURES / "search_nonunique_seed3.json").read_text())[str(n)]
+    argv = ["search-nonunique", "--seed", "3", "--n", str(n)]
+    prefix = str(tmp_path / "text")
+    assert main(argv + ["--out", prefix]) == 0
+    files = [f"{prefix}-{part}.txt" for part in ("a", "b", "diff")]
+    wrote = "wrote " + " ".join(files)
+    assert capsys.readouterr().out.splitlines() == expected["text"] + [wrote]
+    for path, part in zip(files, ("a", "b", "diff")):
+        assert pathlib.Path(path).read_bytes() == (FIXTURES / f"{pair}-{part}.txt").read_bytes()
+    prefix = str(tmp_path / "json")
+    assert main(argv + ["--json", "--out", prefix]) == 0
+    files = [f"{prefix}-{part}.txt" for part in ("a", "b", "diff")]
+    assert json.loads(capsys.readouterr().out) == {**expected["json"], "files": files}
 
 
 def test_search_alias_and_budget_exhaustion(capsys):

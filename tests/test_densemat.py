@@ -239,3 +239,28 @@ def test_trusted_constructor_is_bit_identical_to_the_public_one(monkeypatch):
     public = _kernel_outputs()
     for mine, theirs in zip(trusted, public, strict=True):
         assert np.array_equal(mine.entries, theirs.entries)
+
+
+def test_symmetrizing_entries_near_the_float_maximum_does_not_overflow():
+    big = np.finfo(float).max
+    raw = np.array([[big, 1.0], [1.0, big]])
+    for a in (SymMatrix(raw), SymMatrix._symmetrized(raw)):
+        assert np.isfinite(a.entries).all()
+        assert np.array_equal(a.entries, raw)
+    verdict = verify_doubly_nonnegative(SymMatrix(raw))
+    assert verdict.is_positive_definite and verdict.is_entrywise_nonneg
+    assert not verdict.is_irreducible  # 1 is inside the zero band of 1.8e308
+
+
+def test_symmetrizing_normal_range_entries_matches_the_plain_average_bit_for_bit():
+    # halving is exact outside the subnormal range, so the overflow-safe form
+    # stores what (arr + arr^T) / 2 did
+    rng = np.random.default_rng(8)
+    for scale in (1e-290, 1e-8, 1.0, 1e8, 1e300):
+        for n in (1, 2, 7, 40):
+            raw = rng.standard_normal((n, n)) * scale
+            raw = raw + raw.T
+            raw[0, -1] *= 1 + 1e-15  # asymmetric within the public tolerance
+            plain = (raw + raw.T) / 2.0
+            assert np.array_equal(SymMatrix(raw).entries, plain)
+            assert np.array_equal(SymMatrix._symmetrized(raw).entries, plain)

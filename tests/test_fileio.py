@@ -197,3 +197,33 @@ def test_read_graph_of_a_huge_vertex_count_allocates_nothing_per_vertex(tmp_path
         tracemalloc.stop()
     assert g.n == 10**9 and g.edge_count == 0
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "reader, lines",
+    [
+        (read_matrix, [b"# a comment", b"2", b"1 0.5", b"0.5 1"]),
+        (read_sign_matrix, [b"# a comment", b"2", b"+-", b"-+"]),
+        (read_graph, [b"# a comment", b"3", b"1 2", b"2 3"]),
+    ],
+    ids=["matrix", "signs", "graph"],
+)
+@pytest.mark.parametrize("bad_line", [2, 4], ids=["size-line", "later-line"])
+def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, lines, bad_line):
+    lines = list(lines)
+    lines[bad_line - 1] += b"\xff"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert info.value.line_no == bad_line
+    assert "0xff" in info.value.reason and "UTF-8" in info.value.reason
+    # the same file with the byte dropped parses
+    path.write_bytes(b"\n".join(lines).replace(b"\xff", b"") + b"\n")
+    reader(path)
+
+
+def test_readers_accept_utf8_comments_and_crlf_line_ends(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes("# caf\u00e9 \u2212 ok\r\n2\r\n1 0.5\r\n0.5 1\r\n".encode("utf-8"))
+    assert read_matrix(path) == SymMatrix([[1.0, 0.5], [0.5, 1.0]])

@@ -295,6 +295,19 @@ def test_ugraph_accepts_unsigned_arrays_and_numpy_integers():
         UGraph(3, np.array([[1, 2], [1, 2**64 - 1]], dtype=np.uint64))
 
 
+def test_ugraph_checks_narrow_integer_arrays_against_a_wider_vertex_range():
+    n = 1000  # beyond what int8 and uint8 hold
+    assert UGraph(n, np.array([[2, 1], [127, 3]], dtype=np.int8)).edges == ((1, 2), (3, 127))
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 127$"):
+        UGraph(n, np.array([[1, 2], [127, 127], [-128, 1]], dtype=np.int8))
+    with pytest.raises(ValueError, match=r"^edge \(-128, 1\) out of range 1\.\.1000$"):
+        UGraph(n, np.array([[1, 2], [-128, 1], [127, 127]], dtype=np.int8))
+    with pytest.raises(ValueError, match=r"^edge \(0, 255\) out of range 1\.\.1000$"):
+        UGraph(n, np.array([[255, 254], [0, 255]], dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"^edge \(1, 200\) out of range 1\.\.100$"):
+        UGraph(100, np.array([[1, 2], [1, 200], [5, 5]], dtype=np.uint8))
+
+
 def test_ugraph_builds_adjacency_only_on_demand():
     g = UGraph(4, np.array([[4, 1], [2, 3], [1, 4]]))
     assert g.edges == ((1, 4), (2, 3))

@@ -16,6 +16,7 @@ from dninverse import (
     SignMatrix,
     SymMatrix,
     UGraph,
+    bfs_distances,
     cholesky_invert,
     is_tree,
     leaf_attach_inverse_update,
@@ -449,3 +450,35 @@ def test_random_tree_dn_matrix_draws_one_weight_per_edge_in_edge_order():
         shared = np.random.default_rng(seed)
         assert random_tree_dn_matrix(g, shared) == SymMatrix(arr)
         assert shared.random() == after  # the stream continues where it did
+
+
+def _deep_random_tree():
+    """400 vertices: a 300-vertex spine from vertex 1, then twigs on random earlier vertices."""
+    rng = np.random.default_rng(11)
+    labels = np.concatenate(([1], rng.permutation(np.arange(2, 401))))
+    parent = np.concatenate((np.arange(299), (rng.random(100) * np.arange(300, 400)).astype(int)))
+    return UGraph(400, np.column_stack((labels[1:], labels[parent])))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [UGraph(300, [(i, i + 1) for i in range(1, 300)]), _deep_random_tree()],
+    ids=["path300", "deep-random"],
+)
+def test_tree_functions_on_trees_deeper_than_int8_depths(g):
+    # a layout that narrowed BFS depths to int8 before taking their parity
+    # would overflow from depth 128 on
+    depth = bfs_distances(g, 1)
+    assert max(depth.values()) > 255
+    parity = np.array([depth[v] % 2 for v in range(1, g.n + 1)])
+    assert two_coloring(g).colors == tuple(parity.tolist())
+    expected = np.where(parity[:, None] != parity[None, :], MINUS, PLUS)
+    assert np.array_equal(predict_tree_sign_pattern(g).signs, expected)
+    a = random_tree_dn_matrix(g, 3)
+    assert matrix_graph(a) == g
+    report = leaf_ratio_check(a, cholesky_invert(a), g)
+    assert report.passed
+    leaves = [v for v in range(1, g.n + 1) if g.degree(v) == 1]
+    assert [(r.leaf, r.parent) for r in report.ratios] == [
+        (v, min(g.neighbors(v))) for v in leaves
+    ]

@@ -174,7 +174,9 @@ def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     indptr, indices = g._adjacency()
     # drop the unused vertex 0: its row is empty, so indptr[1:] starts at 0
     adjacency = csr_array((np.ones(indices.size), indices - 1, indptr[1:]), shape=(g.n, g.n))
-    count, labels = label_components(adjacency, directed=False)
+    # the CSR already holds both directions of every edge, so weak connectivity
+    # of the directed graph is connectivity, without csgraph symmetrizing it
+    count, labels = label_components(adjacency, directed=True, connection="weak")
     members = np.argsort(labels, kind="stable") + 1  # grouped by label, ascending within
     parts = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     # disjoint sorted tuples compare by their first, smallest vertex

@@ -4,8 +4,8 @@ A sign pattern is achievable as the entrywise sign matrix of the inverse of
 some invertible irreducible doubly nonnegative matrix exactly when it is
 symmetric, its diagonal is all plus, and its negative-sign graph (one edge per
 off-diagonal minus pair) is connected. Feasible patterns come with an explicit
-witness: a diagonally dominant symmetric M-matrix whose inverse realizes the
-pattern with strictly positive plus entries.
+witness: a diagonally dominant symmetric M-matrix Q carrying the pattern, whose
+inverse is an entrywise positive DN matrix A; the inverse of A is Q itself.
 """
 
 from __future__ import annotations
@@ -165,12 +165,14 @@ def check_feasible(s: SignMatrix) -> FeasibilityReport:
 
 
 def construct_witness(s: SignMatrix) -> SymMatrix:
-    """Witness matrix whose inverse has sign pattern ``s``.
+    """M-matrix Q whose inverse is a DN matrix realizing sign pattern ``s``.
 
-    The witness puts n on the diagonal and -1 on every MINUS off-diagonal
-    position, zero elsewhere: a strictly diagonally dominant irreducible
-    symmetric M-matrix, so its inverse is entrywise strictly positive on the
-    PLUS positions and strictly negative on the MINUS ones. Raises
+    Q puts n on the diagonal and -1 on every MINUS off-diagonal position,
+    zero elsewhere: a strictly diagonally dominant irreducible symmetric
+    M-matrix, so its inverse A = Q^-1 is entrywise strictly positive, hence
+    DN. It is Q, the inverse of A, that carries the pattern: negative at the
+    MINUS positions, positive on the diagonal and exactly zero at the
+    off-diagonal PLUS positions, which classify as PLUS. Raises
     :class:`InfeasiblePattern` when :func:`check_feasible` rejects ``s``.
     """
     report = check_feasible(s)

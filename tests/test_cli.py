@@ -259,6 +259,28 @@ def test_fuzz_report_matches_golden_seed_42(capsys):
         assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
 
 
+def test_golden_necessity_margin_is_within_1e_8_of_the_exact_inverse_entry():
+    # The golden "1".min_minus_magnitude comes from trial 372 (n = 85, kappa_2
+    # about 6.9e4), entry (25, 37). Its float value depends on how the kernel
+    # rounds; the exact inverse of the stored matrix does not. A 30-digit
+    # solve for that column pins the fixture to within 1e-8 relative of it.
+    import mpmath
+
+    from dninverse.oracle import DENSITY_RANGE, random_dn_matrix, trial_seed
+
+    rng = np.random.default_rng(trial_seed(42, 372))
+    n = int(rng.integers(2, 101))
+    a = random_dn_matrix(n, float(rng.uniform(*DENSITY_RANGE)), rng)
+    inv = dninverse.cholesky_invert(a).entries
+    i, j = np.unravel_index(np.argmin(np.where(inv < 0, -inv, np.inf)), inv.shape)
+    assert (n, i, j) == (85, 24, 36)
+    with mpmath.workdps(30):
+        column = mpmath.lu_solve(mpmath.matrix(a.entries.tolist()), mpmath.eye(n)[:, int(j)])
+        exact = float(-column[int(i)])
+    golden = json.loads((FIXTURES / "fuzz_all_seed42.json").read_text())
+    assert golden["1"]["min_margins"]["min_minus_magnitude"] == pytest.approx(exact, rel=1e-8, abs=0.0)
+
+
 def _pool_counts():
     return [getter() for getter, _ in densemat._openblas_pools()]
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,7 @@ def test_cholesky_invert_hand_cases():
     np.testing.assert_allclose(inv2.entries, np.array([[2, 1], [1, 2]]) / 3.0, atol=1e-15)
     inv3 = cholesky_invert(SymMatrix(PATH3))
     np.testing.assert_allclose(inv3.entries, PATH3_INVERSE, atol=1e-15)
+    assert cholesky_invert(SymMatrix([[4.0]])) == SymMatrix([[0.25]])
 
 
 def test_cholesky_invert_is_its_own_inverse():
@@ -100,6 +103,55 @@ def test_cholesky_invert_floors_tiny_pivots():
     # second pivot is ~1e-14 of the diagonal scale, below the relative floor
     with pytest.raises(NotPositiveDefinite):
         cholesky_invert(SymMatrix([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+
+
+def _exact_inverse(arr: np.ndarray) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of the float matrix ``arr`` in rational arithmetic."""
+    n = len(arr)
+    rows = [
+        [Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(arr)
+    ]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def test_cholesky_invert_meets_the_forward_error_bound_on_ill_conditioned_dn_matrices():
+    # b b^T with b of size n x (n-1) is singular, so a ridge of 1e-11..1e-6
+    # puts kappa_1 near 1e12 at worst. Each entry of the float inverse X must
+    # lie within n u kappa_1 max|X| of the exact inverse of the stored matrix.
+    rng = np.random.default_rng(2024)
+    unit_roundoff = 2.0**-53
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        b = rng.random((n, n - 1))
+        a = SymMatrix(b @ b.T + 10.0 ** rng.uniform(-11, -6) * np.eye(n))
+        x = cholesky_invert(a).entries
+        exact = _exact_inverse(a.entries)
+        error = np.array(
+            [[abs(Fraction(float(x[i, j])) - exact[i][j]) for j in range(n)] for i in range(n)],
+            dtype=float,
+        )
+        exact_norm = max(sum(abs(row[j]) for row in exact) for j in range(n))
+        kappa = float(np.abs(a.entries).sum(axis=0).max() * exact_norm)
+        assert error.max() <= n * unit_roundoff * kappa * np.abs(x).max()
+
+
+def test_cholesky_invert_of_a_large_matrix_is_square_symmetric_and_an_inverse():
+    rng = np.random.default_rng(300)
+    b = rng.random((300, 300))
+    a = SymMatrix(b @ b.T + 0.3 * np.eye(300))
+    x = cholesky_invert(a).entries
+    assert x.shape == (300, 300)
+    assert np.array_equal(x, x.T)
+    assert np.abs(a.entries @ x - np.eye(300)).max() <= 1e-9 * 300
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -218,6 +218,15 @@ def test_witness_inverse_strictly_positive():
         assert realized.entries.min() > 0
 
 
+def test_witness_itself_carries_the_pattern_with_zeros_at_off_diagonal_plus():
+    for n in (2, 4, 11):
+        s = random_feasible_sign_matrix(n, n)
+        q = construct_witness(s)
+        assert sign_of(q) == s
+        plus_off = (s.signs == PLUS) & ~np.eye(n, dtype=bool)
+        assert (q.entries[plus_off] == 0.0).all()
+
+
 def test_random_feasible_sign_matrix_smallest_sizes():
     assert random_feasible_sign_matrix(1, 5).to_rows() == ["+"]
     # the spanning tree on two vertices forces the unique feasible pattern

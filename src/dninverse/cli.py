@@ -5,7 +5,8 @@ predict (tree sign pattern), verify (doubly-nonnegative membership plus
 inverse pattern), fuzz (randomized campaigns), and search-nonunique (find two
 complete-graph matrices with different inverse patterns). Exit code 0 means
 pass/feasible/found, 1 means the domain answer was negative, 2 means the
-input could not be parsed or the invocation was malformed.
+input could not be parsed or read, an output file could not be written, or
+the invocation was malformed.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ def _rel_tolerance(text: str) -> float:
         return check_rel_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}") from exc
+
+
+def _density(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a density in (0, 1], got {text!r}")
+    return value
 
 
 def _emit(args, document: dict, human_lines: list[str]) -> None:
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_value, required=True, help="campaign seed")
     p.add_argument("--n-min", type=int, default=2, help="smallest size (default 2)")
     p.add_argument("--n-max", type=int, default=12, help="largest size (default 12)")
-    p.add_argument("--density", type=float, default=None, help="fix the density instead of drawing it per trial")
+    p.add_argument("--density", type=_density, default=None, help="fix the density instead of drawing it per trial")
     p.add_argument("--out", help="optional JSON report file")
     add_common(p)
     p.set_defaults(func=_cmd_fuzz)
@@ -395,7 +406,7 @@ def main(argv=None) -> int:
     except DnInverseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,19 +100,13 @@ def zero_threshold(values, rel: float = REL_TOL_ZERO) -> float:
     return rel * float(np.abs(arr).max())
 
 
-def _symmetric_part(arr: np.ndarray) -> np.ndarray:
-    """(arr + arr^T) / 2 summed as halves: no overflow near the float maximum, and,
-    since halving is exact above the subnormals, bit for bit the same elsewhere."""
-    half = 0.5 * arr
-    return half + half.T
-
-
 class SymMatrix:
     """Dense real symmetric matrix, immutable after construction.
 
-    Input whose asymmetry stays within ``rel_sym_tol`` times the largest entry
-    magnitude is symmetrized to (M + M^T)/2; anything worse is rejected with
-    :class:`AsymmetricMatrix`.
+    Input from outside the package whose asymmetry stays within ``rel_sym_tol``
+    times the largest entry magnitude is symmetrized to (M + M^T)/2; anything
+    worse is rejected with :class:`AsymmetricMatrix`. Matrices the package
+    computes are exactly symmetric as built and are stored by :meth:`_trusted`.
     """
 
     __slots__ = ("_arr",)
@@ -132,25 +126,26 @@ class SymMatrix:
                 f"asymmetry {asym:.3e} exceeds {rel_sym_tol:g} * max|entry| = "
                 f"{rel_sym_tol * scale:.3e}"
             )
-        arr = _symmetric_part(arr)
+        # as halves: no overflow near the float maximum, exact above the subnormals
+        half = 0.5 * arr
+        arr = half + half.T
         arr.setflags(write=False)
         self._arr = arr
 
     @classmethod
-    def _symmetrized(cls, arr: np.ndarray) -> "SymMatrix":
-        """Trusted constructor for kernel outputs: stores the symmetric part of ``arr``.
+    def _trusted(cls, arr: np.ndarray) -> "SymMatrix":
+        """Trusted constructor for matrices the package computes: stores ``arr`` as built.
 
-        Skips the shape checks and the asymmetry scan, so ``arr`` must be a
-        square array that is symmetric up to rounding. Entries are still
-        checked to be finite: a kernel can overflow. The result is bit for bit
-        what the public constructor makes of ``arr``.
+        ``arr`` must be a fresh float array, square, at least 1x1 and exactly
+        symmetric; it is neither copied nor checked for shape or symmetry, and
+        becomes read-only. Entries are still checked to be finite: a kernel can
+        overflow.
         """
-        sym = _symmetric_part(arr)
-        if not np.isfinite(sym).all():
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        sym.setflags(write=False)
+        arr.setflags(write=False)
         matrix = object.__new__(cls)
-        matrix._arr = sym
+        matrix._arr = arr
         return matrix
 
     @classmethod
@@ -248,15 +243,17 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor.
 
     A^-1 = U^-1 U^-T, with U inverted in place by LAPACK ``dtrtri`` (n^3/3
-    flops) and the product formed as one symmetric rank-n update. Raises
-    :class:`NotPositiveDefinite` when factorization fails or a pivot falls at
-    or below ``REL_PIVOT_FLOOR`` times the largest diagonal entry.
+    flops) and the product formed as one symmetric rank-n update: numpy runs
+    ``x @ x.T`` through BLAS ``syrk`` and mirrors one triangle, so the result
+    is exactly symmetric. Raises :class:`NotPositiveDefinite` when
+    factorization fails or a pivot falls at or below ``REL_PIVOT_FLOOR``
+    times the largest diagonal entry.
     """
     upper = _cholesky_factor(a)
     uinv, info = dtrtri(upper, lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the floor above already excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
-    return SymMatrix._symmetrized(uinv @ uinv.T)
+    return SymMatrix._trusted(uinv @ uinv.T)
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:

@@ -131,11 +131,10 @@ def random_dn_matrix(n: int, density: float, seed) -> SymMatrix:
     for _ in range(MAX_RESAMPLES):
         b = rng.random((n, n))
         b[rng.random((n, n)) >= density] = 0.0
-        # symmetric up to rounding by construction, so no asymmetry scan
-        candidate = SymMatrix._symmetrized(b @ b.T + ridge * np.eye(n))
-        arr = candidate.entries
+        arr = b @ b.T  # BLAS syrk mirrors one triangle: exactly symmetric
+        arr.flat[:: n + 1] += ridge  # the ridge, on the diagonal only
         if len(mask_components(arr > zero_threshold(arr))) == 1:
-            return candidate
+            return SymMatrix._trusted(arr)
     raise RuntimeError(
         f"no irreducible draw of size {n} in {MAX_RESAMPLES} attempts "
         f"at density {density}"

@@ -190,7 +190,7 @@ def construct_witness(s: SignMatrix) -> SymMatrix:
     n = s.n
     q = np.where(s.signs == MINUS, -1.0, 0.0)
     np.fill_diagonal(q, float(n))
-    return SymMatrix(q)
+    return SymMatrix._trusted(q)  # symmetric: check_feasible passed the pattern
 
 
 def random_feasible_sign_matrix(n: int, seed) -> SignMatrix:

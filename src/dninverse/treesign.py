@@ -142,7 +142,7 @@ class LeafAttachment:
         out[self.attach_vertex - 1, k] = self.edge_weight
         out[k, self.attach_vertex - 1] = self.edge_weight
         out[k, k] = self.new_diagonal
-        return SymMatrix(out)
+        return SymMatrix._trusted(out)
 
 
 def leaf_attach_inverse_update(
@@ -181,7 +181,7 @@ def leaf_attach_inverse_update(
     out[:k, k] = border
     out[k, :k] = border
     out[k, k] = 1.0 / d + (c / d) ** 2 * top[i, i]
-    return SymMatrix._symmetrized(out)
+    return SymMatrix._trusted(out)
 
 
 @dataclass(frozen=True)
@@ -304,4 +304,4 @@ def random_tree_dn_matrix(g: UGraph, seed) -> SymMatrix:
     arr[i, j] = weights
     arr[j, i] = weights
     np.fill_diagonal(arr, arr.sum(axis=1) + rng.uniform(0.1, 1.0, size=g.n))
-    return SymMatrix(arr)
+    return SymMatrix._trusted(arr)

@@ -11,6 +11,7 @@ import pytest
 import dninverse
 from dninverse import cli, densemat, read_matrix, read_sign_matrix, verify_doubly_nonnegative
 from dninverse.cli import main
+from dninverse.oracle import necessity_campaign
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -240,6 +241,55 @@ def test_tol_zero_outside_unit_interval_is_a_usage_error(value, capsys):
         main(["verify", str(FIXTURES / "path3_matrix.txt"), f"--tol-zero={value}"])
     assert info.value.code == 2
     assert "--tol-zero" in capsys.readouterr().err
+
+
+def _file_system_error_cases(tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    directory = str(tmp_path)
+    no_dir = str(tmp_path / "no" / "such" / "out.txt")
+    out = str(tmp_path / "out.txt")
+    signs, graph = str(FIXTURES / "path3.signs"), str(FIXTURES / "path3.graph")
+    return [
+        ["check", missing],
+        ["check", directory],
+        ["witness", missing, "--out", out],
+        ["witness", directory, "--out", out],
+        ["witness", signs, "--out", no_dir],
+        ["verify", missing],
+        ["verify", directory],
+        ["predict", missing],
+        ["predict", directory],
+        ["predict", graph, "--out", no_dir],
+        ["fuzz", "--trials", "1", "--seed", "1", "--out", no_dir],
+        ["search-nonunique", "--seed", "3", "--out", no_dir],
+    ]
+
+
+def test_file_system_errors_exit_2_with_a_message(tmp_path, capsys):
+    for argv in _file_system_error_cases(tmp_path):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno"), (argv, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-0.5", "0", "nan", "7", "inf", "abc"])
+@pytest.mark.parametrize("theorem, trials", [("1", "2"), ("2", "2"), ("all", "2"), ("all", "0")])
+def test_density_outside_the_unit_interval_is_a_usage_error(value, theorem, trials, capsys):
+    argv = ["fuzz", "--theorem", theorem, "--trials", trials, "--seed", "1"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, f"--density={value}"])
+    assert info.value.code == 2
+    assert "--density" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.5", "1"])
+def test_density_in_the_unit_interval_fixes_the_campaign_density(value, capsys):
+    argv = ["fuzz", "--theorem", "all", "--trials", "4", "--seed", "9", "--json"]
+    assert main([*argv, "--density", value]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = necessity_campaign((2, 12), 4, 9, density=float(value))
+    assert report["1"] == expected.to_dict()
 
 
 def test_fuzz_report_matches_golden_seed_42(capsys):

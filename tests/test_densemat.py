@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dninverse import (
     AsymmetricMatrix,
@@ -10,11 +13,13 @@ from dninverse import (
     NotPositiveDefinite,
     SymMatrix,
     cholesky_invert,
+    construct_witness,
     leaf_attach_inverse_update,
     matrix_graph,
     min_eigenvalue,
     perron_eigenpair,
     random_dn_matrix,
+    random_feasible_sign_matrix,
     random_tree,
     random_tree_dn_matrix,
     verify_doubly_nonnegative,
@@ -164,7 +169,7 @@ def test_kernels_reject_an_inverse_that_overflows():
     with pytest.raises(ValueError, match="finite"):
         leaf_attach_inverse_update(base, LeafAttachment(base, 1, 1e-160, 1e-310))
     with pytest.raises(ValueError, match="finite"):
-        SymMatrix._symmetrized(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        SymMatrix._trusted(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_perron_eigenpair_hand_cases():
@@ -260,43 +265,65 @@ def test_verdict_serializes():
     }
 
 
-def _kernel_outputs():
-    """Inverses from both kernels that store their result through the trusted constructor."""
-    out = []
-    for seed in range(12):
-        n = 2 + seed * 7
-        a = random_dn_matrix(n, 0.7, seed)
-        out.append(cholesky_invert(a))
-        g = random_tree(n, seed)
-        base = random_tree_dn_matrix(g, seed)
-        attach = LeafAttachment(base, 1 + seed % n, 0.5 + seed / 10, float(base.entries.sum()))
-        out.append(leaf_attach_inverse_update(cholesky_invert(base), attach))
+def _producer_outputs(n, seed):
+    """One output of every producer that stores its result through the trusted constructor."""
+    tree = random_tree_dn_matrix(random_tree(n, seed), seed)
+    attach = LeafAttachment(tree, 1 + seed % n, 0.5 + seed / 10, float(tree.entries.sum()))
+    witness = construct_witness(random_feasible_sign_matrix(n, seed))
+    out = [
+        tree,
+        cholesky_invert(tree),
+        attach.attached_matrix(),
+        leaf_attach_inverse_update(cholesky_invert(tree), attach),
+        witness,
+        cholesky_invert(witness),
+    ]
+    if n >= 2:
+        dense = random_dn_matrix(n, 0.7, seed)
+        out += [dense, cholesky_invert(dense)]
     return out
+
+
+def _kernel_outputs():
+    return [a for seed in range(12) for a in _producer_outputs(2 + seed * 7, seed)]
 
 
 def test_trusted_constructor_is_bit_identical_to_the_public_one(monkeypatch):
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 40):
         raw = rng.standard_normal((n, n))
-        raw = raw.T @ raw
-        raw[0, -1] *= 1 + 1e-15  # asymmetric within the public tolerance
-        trusted = SymMatrix._symmetrized(raw)
-        assert np.array_equal(trusted.entries, SymMatrix((raw + raw.T) / 2.0).entries)
+        raw = raw.T @ raw  # exactly symmetric, as every producer's array is
+        public = SymMatrix(raw)
+        trusted = SymMatrix._trusted(raw)
+        assert trusted.entries is raw  # stored as built, not copied
+        assert np.array_equal(trusted.entries, public.entries)
         assert not trusted.entries.flags.writeable
-    # the kernels as they were: symmetrize, then the public constructor
+    # the producers as they were: symmetrize, then the public constructor
     trusted = _kernel_outputs()
     monkeypatch.setattr(
-        SymMatrix, "_symmetrized", classmethod(lambda cls, arr: cls((arr + arr.T) / 2.0))
+        SymMatrix, "_trusted", classmethod(lambda cls, arr: cls((arr + arr.T) / 2.0))
     )
     public = _kernel_outputs()
     for mine, theirs in zip(trusted, public, strict=True):
         assert np.array_equal(mine.entries, theirs.entries)
 
 
+def test_every_producer_builds_an_exactly_symmetric_matrix(monkeypatch):
+    # no producer may lean on the public constructor's symmetrization
+    def public_constructor(self, entries, rel_sym_tol=None):
+        raise AssertionError("a producer called the public SymMatrix constructor")
+
+    monkeypatch.setattr(SymMatrix, "__init__", public_constructor)
+    for seed, n in enumerate((1, 2, 3, 5, 16, 64, 150, 300)):
+        for a in _producer_outputs(n, seed):
+            assert np.array_equal(a.entries, a.entries.T)
+            assert not a.entries.flags.writeable
+
+
 def test_symmetrizing_entries_near_the_float_maximum_does_not_overflow():
     big = np.finfo(float).max
     raw = np.array([[big, 1.0], [1.0, big]])
-    for a in (SymMatrix(raw), SymMatrix._symmetrized(raw)):
+    for a in (SymMatrix(raw), SymMatrix._trusted(raw.copy())):
         assert np.isfinite(a.entries).all()
         assert np.array_equal(a.entries, raw)
     verdict = verify_doubly_nonnegative(SymMatrix(raw))
@@ -306,13 +333,41 @@ def test_symmetrizing_entries_near_the_float_maximum_does_not_overflow():
 
 def test_symmetrizing_normal_range_entries_matches_the_plain_average_bit_for_bit():
     # halving is exact outside the subnormal range, so the overflow-safe form
-    # stores what (arr + arr^T) / 2 did
+    # stores what (arr + arr^T) / 2 did, and leaves an exactly symmetric array
+    # as the trusted constructor stores it
     rng = np.random.default_rng(8)
     for scale in (1e-290, 1e-8, 1.0, 1e8, 1e300):
         for n in (1, 2, 7, 40):
             raw = rng.standard_normal((n, n)) * scale
             raw = raw + raw.T
+            assert np.array_equal(SymMatrix(raw).entries, raw)
+            assert np.array_equal(SymMatrix._trusted(raw.copy()).entries, raw)
             raw[0, -1] *= 1 + 1e-15  # asymmetric within the public tolerance
             plain = (raw + raw.T) / 2.0
             assert np.array_equal(SymMatrix(raw).entries, plain)
-            assert np.array_equal(SymMatrix._symmetrized(raw).entries, plain)
+
+
+@st.composite
+def _nearly_symmetric(draw):
+    """Square arrays whose mirrored entries differ by at most three ulps, with
+    magnitudes anywhere from 1e-300 up to the float maximum."""
+    n = draw(st.integers(1, 8))
+    magnitude = st.floats(1e-300, np.finfo(float).max)
+    entry = st.tuples(st.sampled_from((-1.0, 1.0)), magnitude).map(lambda t: t[0] * t[1])
+    upper = draw(arrays(float, (n, n), elements=entry))
+    raw = np.triu(upper) + np.triu(upper, 1).T
+    for _ in range(3):  # move some entries one ulp toward zero
+        moved = draw(arrays(bool, (n, n)))
+        raw = np.where(moved, np.nextafter(raw, 0.0), raw)
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nearly_symmetric())
+def test_public_constructor_stores_an_exactly_symmetric_matrix(raw):
+    a = SymMatrix(raw)
+    x = a.entries
+    assert np.array_equal(x, x.T)
+    assert np.isfinite(x).all()
+    scale = float(np.abs(raw).max())
+    assert float(np.abs(x - raw).max()) <= 1e-12 * scale

@@ -12,6 +12,7 @@ the invocation was malformed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -318,7 +319,13 @@ def _cmd_search_nonunique(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the life of the process.
+
+    Each subcommand names its handler instead of holding it, so ``main``
+    looks the handler up in this module on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="dninverse",
         description="Sign patterns of inverses of doubly nonnegative matrices: "
@@ -342,25 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide feasibility of a sign pattern file")
     p.add_argument("pattern", help="sign matrix file")
     add_common(p, tol=False)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func="_cmd_check")
 
     p = sub.add_parser("witness", help="synthesize a matrix realizing a feasible pattern")
     p.add_argument("pattern", help="sign matrix file")
     p.add_argument("--out", required=True, help="matrix file to write")
     add_common(p)
-    p.set_defaults(func=_cmd_witness)
+    p.set_defaults(func="_cmd_witness")
 
     p = sub.add_parser("predict", help="predict the inverse sign pattern of a tree")
     p.add_argument("graph", help="edge-list graph file (must be a tree)")
     p.add_argument("--distances", action="store_true", help="show the distance parity behind each off-diagonal sign")
     p.add_argument("--out", help="optional sign matrix file to write")
     add_common(p, tol=False)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func="_cmd_predict")
 
     p = sub.add_parser("verify", help="check a matrix file for doubly nonnegative membership")
     p.add_argument("matrix", help="matrix file")
     add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func="_cmd_verify")
 
     p = sub.add_parser("fuzz", help="run randomized verification campaigns")
     p.add_argument(
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_density, default=None, help="fix the density instead of drawing it per trial")
     p.add_argument("--out", help="optional JSON report file")
     add_common(p)
-    p.set_defaults(func=_cmd_fuzz)
+    p.set_defaults(func="_cmd_fuzz")
 
     p = sub.add_parser(
         "search-nonunique",
@@ -389,17 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_value, required=True, help="search seed")
     p.add_argument("--out", help="prefix for the pair files PREFIX-a.txt, PREFIX-b.txt, PREFIX-diff.txt")
     add_common(p)
-    p.set_defaults(func=_cmd_search_nonunique)
+    p.set_defaults(func="_cmd_search_nonunique")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()[args.func]
     try:
         with single_blas_thread():
-            return args.func(args)
+            return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,8 +104,9 @@ class SymMatrix:
     """Dense real symmetric matrix, immutable after construction.
 
     Input from outside the package whose asymmetry stays within ``rel_sym_tol``
-    times the largest entry magnitude is symmetrized to (M + M^T)/2; anything
-    worse is rejected with :class:`AsymmetricMatrix`. Matrices the package
+    times the largest entry magnitude is symmetrized: each entry that differs
+    from its mirror becomes (M + M^T)/2 and the others are kept as given.
+    Anything worse is rejected with :class:`AsymmetricMatrix`. Matrices the package
     computes are exactly symmetric as built and are stored by :meth:`_trusted`.
     """
 
@@ -126,9 +127,12 @@ class SymMatrix:
                 f"asymmetry {asym:.3e} exceeds {rel_sym_tol:g} * max|entry| = "
                 f"{rel_sym_tol * scale:.3e}"
             )
-        # as halves: no overflow near the float maximum, exact above the subnormals
+        # Entries equal to their mirror bit for bit are kept as given; the rest
+        # are averaged as halves: no overflow near the float maximum, exact
+        # above the subnormals, and -0.0 beside 0.0 averages to 0.0.
+        bits = arr.view(np.int64)
         half = 0.5 * arr
-        arr = half + half.T
+        np.copyto(arr, half + half.T, where=bits != bits.T)
         arr.setflags(write=False)
         self._arr = arr
 

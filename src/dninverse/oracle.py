@@ -130,7 +130,7 @@ def random_dn_matrix(n: int, density: float, seed) -> SymMatrix:
     ridge = RIDGE_FACTOR * n
     for _ in range(MAX_RESAMPLES):
         b = rng.random((n, n))
-        b[rng.random((n, n)) >= density] = 0.0
+        b *= rng.random((n, n)) < density  # b >= 0: dropped entries become +0.0
         arr = b @ b.T  # BLAS syrk mirrors one triangle: exactly symmetric
         arr.flat[:: n + 1] += ridge  # the ridge, on the diagonal only
         if len(mask_components(arr > zero_threshold(arr))) == 1:
@@ -225,9 +225,8 @@ def necessity_campaign(
             and len(mask_components(minus)) == 1
         )
         margins = {"min_diagonal_entry": float(inv.diagonal().min())}
-        minus_entries = inv[minus]
-        if minus_entries.size:
-            margins["min_minus_magnitude"] = float((-minus_entries).min())
+        if minus.any():
+            margins["min_minus_magnitude"] = -float(np.where(minus, inv, -np.inf).max())
         return passed, margins
 
     return _run_trials(n_range, trials, seed, trial)
@@ -263,17 +262,17 @@ def tree_sign_campaign(
         minus_mask = predicted == MINUS
         plus_off = (predicted == PLUS) & ~np.eye(n, dtype=bool)
         contradiction = bool(
-            (inv[minus_mask] > tol).any()
-            or (inv[plus_off] < -tol).any()
+            ((inv > tol) & minus_mask).any()
+            or ((inv < -tol) & plus_off).any()
             or (inv.diagonal() <= 0.0).any()
         )
         ratio_report = leaf_ratio_check(a, a_inv, g, rel_tol=rel_tol)
         in_band = np.abs(inv) <= tol
         margins = {"min_diagonal_entry": float(inv.diagonal().min())}
         if minus_mask.any():
-            margins["min_minus_magnitude"] = float((-inv[minus_mask]).min())
+            margins["min_minus_magnitude"] = -float(np.where(minus_mask, inv, -np.inf).max())
         if plus_off.any():
-            margins["min_plus_offdiag"] = float(inv[plus_off].min())
+            margins["min_plus_offdiag"] = float(np.where(plus_off, inv, np.inf).min())
         deviations = [r.max_rel_deviation for r in ratio_report.ratios]
         if deviations:
             margins["ratio_deviation_headroom"] = TOL_RATIO - max(deviations)

@@ -46,6 +46,19 @@ class SignMatrix:
         self._signs = arr
 
     @classmethod
+    def _trusted(cls, signs: np.ndarray) -> "SignMatrix":
+        """Trusted constructor for patterns the package builds: stores ``signs`` as built.
+
+        ``signs`` must be a fresh int8 array, square, at least 1x1 and holding
+        only PLUS and MINUS; it is neither copied nor checked, and becomes
+        read-only.
+        """
+        signs.setflags(write=False)
+        matrix = object.__new__(cls)
+        matrix._signs = signs
+        return matrix
+
+    @classmethod
     def from_rows(cls, rows: Sequence[str]) -> "SignMatrix":
         """Build from strings of '+' and '-' characters, one per row."""
         n = len(rows)
@@ -101,7 +114,10 @@ def sign_of(q: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> SignMatrix:
     """
     arr = q.entries
     tol = zero_threshold(arr, rel_tol)
-    return SignMatrix(np.where(arr < -tol, MINUS, PLUS))
+    signs = (arr < -tol).view(np.int8)  # 1 where MINUS
+    signs *= MINUS - PLUS
+    signs += PLUS
+    return SignMatrix._trusted(signs)
 
 
 def ambiguous_signs(
@@ -206,4 +222,4 @@ def random_feasible_sign_matrix(n: int, seed) -> SignMatrix:
         extra = np.triu(rng.random((n, n)) < 0.5, k=1)
         signs[extra | extra.T] = MINUS
         np.fill_diagonal(signs, PLUS)
-    return SignMatrix(signs)
+    return SignMatrix._trusted(signs)

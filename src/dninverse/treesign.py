@@ -99,7 +99,7 @@ def predict_tree_sign_pattern(g: UGraph) -> SignMatrix:
     signs = parity[:, None] ^ parity[None, :]  # int8: 1 where the colors differ
     signs *= MINUS - PLUS
     signs += PLUS
-    return SignMatrix(signs)
+    return SignMatrix._trusted(signs)
 
 
 def odd_distance_predicate(g: UGraph, i: int, j: int) -> bool:

@@ -309,6 +309,20 @@ def test_fuzz_report_matches_golden_seed_42(capsys):
         assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
 
 
+def test_dense_fuzz_report_matches_golden_seed_7(capsys):
+    # The necessity campaign alone at sizes 100..300, 40 trials, where each
+    # draw is thinned and each margin reduced over large matrices. Same
+    # tolerance as the seed-42 fixture.
+    argv = ["fuzz", "--theorem", "1", "--trials", "40", "--seed", "7"]
+    assert main([*argv, "--n-min", "100", "--n-max", "300", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    expected = json.loads((FIXTURES / "fuzz_theorem1_seed7_n100_300.json").read_text())
+    assert set(got) == set(expected)
+    for field in ("trials", "failures", "failure_seeds"):
+        assert got[field] == expected[field]
+    assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
+
+
 def test_golden_necessity_margin_is_within_1e_8_of_the_exact_inverse_entry():
     # The golden "1".min_minus_magnitude comes from trial 372 (n = 85, kappa_2
     # about 6.9e4), entry (25, 37). Its float value depends on how the kernel
@@ -450,3 +464,46 @@ def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 1, 0, 0, 0] False"
+
+
+def test_main_builds_the_parser_once_for_many_calls(capsys):
+    cli.build_parser.cache_clear()
+    try:
+        for argv in (["check", str(FIXTURES / "path3.signs")], ["predict", str(FIXTURES / "path3.graph")]) * 2:
+            assert main(argv) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_the_cached_parser_survives_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "--trials", "x", "--seed", "1"])
+    assert info.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert main(["check", str(FIXTURES / "path3.signs"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    # nothing of an earlier call's options carries over to the next
+    assert main(["check", str(FIXTURES / "path3.signs")]) == 0
+    assert capsys.readouterr().out.startswith("pattern 3x3: FEASIBLE")
+
+
+def test_importing_the_cli_builds_no_parser():
+    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
+    code = "import dninverse.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_verify_keeps_a_subnormal_matrix_and_rejects_its_overflowing_inverse(tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("1\n5e-324\n")
+    assert read_matrix(path).entries[0, 0] == 5e-324
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "positive definite: no" not in captured.out
+    assert "finite" in captured.err

@@ -371,3 +371,39 @@ def test_public_constructor_stores_an_exactly_symmetric_matrix(raw):
     assert np.isfinite(x).all()
     scale = float(np.abs(raw).max())
     assert float(np.abs(x - raw).max()) <= 1e-12 * scale
+
+
+def test_exactly_symmetric_subnormal_entries_are_kept_as_given():
+    tiny = 5e-324  # halving it would round to zero
+    assert SymMatrix([[tiny]]).entries[0, 0] == tiny
+    a = SymMatrix([[1.0, tiny], [tiny, 1.0]])
+    assert a[0, 1] == a[1, 0] == tiny
+
+
+def test_mirrored_signed_zeros_are_stored_as_one_zero():
+    # 0.0 and -0.0 compare equal but differ in the sign bit: averaged to 0.0
+    a = SymMatrix([[1.0, -0.0], [0.0, 1.0]]).entries
+    assert not np.signbit(a).any()
+    assert np.array_equal(SymMatrix([[1.0, -0.0], [-0.0, 1.0]]).entries.view(np.int64),
+                          np.array([[1.0, -0.0], [-0.0, 1.0]]).view(np.int64))
+
+
+@st.composite
+def _exactly_symmetric(draw):
+    """Square arrays mirrored bit for bit, over all finite floats: subnormals,
+    signed zeros and magnitudes up to the float maximum."""
+    n = draw(st.integers(1, 8))
+    tiny = np.finfo(float).smallest_normal
+    entry = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-tiny, tiny))
+    raw = draw(arrays(float, (n, n), elements=entry))
+    lower = np.tril_indices(n, -1)
+    raw[lower] = raw.T[lower]
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exactly_symmetric())
+def test_public_constructor_stores_exactly_symmetric_input_as_given(raw):
+    x = SymMatrix(raw).entries
+    assert np.array_equal(x, raw)
+    assert np.array_equal(x.view(np.int64), raw.view(np.int64))

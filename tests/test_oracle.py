@@ -250,3 +250,32 @@ def test_search_nonunique_budget_exhaustion():
 def test_search_nonunique_rejects_forced_sizes():
     with pytest.raises(ValueError):
         search_nonunique_complete(2, 10, seed=0)
+
+
+def test_thinning_by_multiplication_matches_the_scatter_bit_for_bit():
+    # b *= keep leaves a kept entry as drawn and turns a dropped one into 0.0,
+    # as the scatter b[~keep] = 0.0 does; b >= 0, so no -0.0 appears
+    rng = np.random.default_rng(21)
+    for n in (2, 100, 300):
+        for density in (0.3, 0.55, 0.97, 1.0):
+            b = rng.random((n, n))
+            b[:, 0] = 0.0  # exact zeros, kept and dropped
+            draw = rng.random((n, n))
+            scattered = b.copy()
+            scattered[draw >= density] = 0.0
+            multiplied = b.copy()
+            multiplied *= draw < density
+            assert np.array_equal(scattered.view(np.uint64), multiplied.view(np.uint64))
+            assert np.array_equal(np.signbit(scattered), np.signbit(multiplied))
+            assert not np.signbit(multiplied).any()
+
+
+def test_campaign_trials_build_no_pattern_through_the_public_constructor(monkeypatch):
+    # sign_of and the tree prediction store their patterns as built
+    def public_constructor(self, signs):
+        raise AssertionError("a trial called the public SignMatrix constructor")
+
+    monkeypatch.setattr(SignMatrix, "__init__", public_constructor)
+    assert necessity_campaign((2, 40), 15, seed=3).passed
+    assert necessity_campaign((100, 120), 2, seed=3, density=0.3).passed
+    assert tree_sign_campaign((2, 60), 15, seed=3).passed

@@ -15,10 +15,13 @@ from dninverse import (
     cholesky_invert,
     construct_witness,
     negative_sign_graph,
+    predict_tree_sign_pattern,
     random_feasible_sign_matrix,
     sign_of,
+    two_coloring,
+    zero_threshold,
 )
-from dninverse.graphs import UGraph, is_connected
+from dninverse.graphs import UGraph, is_connected, random_tree
 
 SPLIT_ROWS = ["+-++", "-+++", "+++-", "++-+"]
 
@@ -101,6 +104,9 @@ def test_sign_of_band_boundary():
     outside = SymMatrix([[1.0, -4e-12], [-4e-12, 1.0]])
     assert sign_of(inside)[0, 1] == PLUS
     assert sign_of(outside)[0, 1] == MINUS
+    edge = SymMatrix([[1.0, -1e-12, -0.0], [-1e-12, 1.0, np.nextafter(-1e-12, -1.0)],
+                      [-0.0, np.nextafter(-1e-12, -1.0), 1.0]])
+    assert sign_of(edge).to_rows() == ["+++", "++-", "+-+"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,3 +247,51 @@ def test_random_feasible_sign_matrix_always_feasible():
 
 def test_random_feasible_sign_matrix_deterministic():
     assert random_feasible_sign_matrix(8, 123) == random_feasible_sign_matrix(8, 123)
+
+
+def _assert_trusted_pattern(pattern, expected):
+    """``pattern`` is stored as the trusted constructor stores it and equals ``expected``."""
+    signs = pattern.signs
+    assert signs.dtype == np.int8
+    assert not signs.flags.writeable
+    assert np.isin(signs, (PLUS, MINUS)).all()
+    assert pattern == expected
+
+
+def _public_sign_of(q, rel_tol=1e-12):
+    arr = q.entries
+    return SignMatrix(np.where(arr < -zero_threshold(arr, rel_tol), MINUS, PLUS))
+
+
+def test_sign_of_builds_the_pattern_the_public_constructor_gives():
+    rng = np.random.default_rng(19)
+    band = 1e-12  # the band edge when the largest magnitude is 1.0
+    edges = [-band, np.nextafter(-band, -1.0), np.nextafter(-band, 0.0), band, 0.0, -0.0]
+    matrices = [SymMatrix(np.zeros((n, n))) for n in (1, 3)]
+    matrices.append(SymMatrix(np.full((2, 2), -0.0)))
+    for n in (1, 2, 5, 40, 200):
+        raw = rng.standard_normal((n, n))
+        matrices.append(SymMatrix(raw + raw.T))
+        raw = rng.choice(edges, size=(n, n))
+        lower = np.tril_indices(n, -1)
+        raw[lower] = raw.T[lower]  # mirrored bit for bit, -0.0 included
+        raw.flat[:: n + 1] = 1.0
+        matrices.append(SymMatrix(raw))
+    for q in matrices:
+        for rel_tol in (0.0, 1e-12, 0.5):
+            _assert_trusted_pattern(sign_of(q, rel_tol), _public_sign_of(q, rel_tol))
+
+
+def test_predict_builds_the_pattern_the_public_constructor_gives():
+    rng = np.random.default_rng(23)
+    graphs = [UGraph(1), UGraph(2, [(1, 2)])] + [random_tree(n, rng) for n in (3, 10, 150, 600)]
+    for g in graphs:
+        colors = np.array(two_coloring(g).colors)
+        expected = SignMatrix(np.where(colors[:, None] != colors[None, :], MINUS, PLUS))
+        _assert_trusted_pattern(predict_tree_sign_pattern(g), expected)
+
+
+def test_random_feasible_pattern_is_stored_as_a_trusted_pattern():
+    for n in (1, 2, 9, 60):
+        s = random_feasible_sign_matrix(n, n)
+        _assert_trusted_pattern(s, SignMatrix(s.signs))

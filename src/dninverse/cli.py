@@ -39,7 +39,7 @@ from .fileio import (
 from .graphs import bfs_distances
 from .oracle import necessity_campaign, search_nonunique_complete, tree_sign_campaign
 from .signpattern import ambiguous_signs, check_feasible, construct_witness, sign_of
-from .treesign import predict_tree_sign_pattern
+from .treesign import predict_tree_sign_rows
 
 
 def _seed_value(text: str) -> int:
@@ -164,8 +164,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_predict(args) -> int:
     g = read_graph(args.graph)
-    pattern = predict_tree_sign_pattern(g)
-    rows = pattern.to_rows()
+    rows = predict_tree_sign_rows(g)  # n references to two strings
     lines = [f"{g.n}"] + rows
     document = {"n": g.n, "rows": rows}
     if args.distances:
@@ -181,9 +180,7 @@ def _cmd_predict(args) -> int:
                 )
         document["distances"] = pairs
     if args.out:
-        write_sign_matrix(
-            args.out, pattern, comment=f"predicted from {args.graph}", rows=rows
-        )
+        write_sign_matrix(args.out, rows, comment=f"predicted from {args.graph}")
     _emit(args, document, lines)
     return 0
 
@@ -420,3 +417,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

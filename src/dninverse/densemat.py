@@ -257,7 +257,11 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     uinv, info = dtrtri(upper, lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the floor above already excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
-    return SymMatrix._trusted(uinv @ uinv.T)
+    # an inverse beyond the float range is reported by the finiteness check
+    # of _trusted as a ValueError, not also as numpy's overflow warning
+    with np.errstate(over="ignore"):
+        product = uinv @ uinv.T
+    return SymMatrix._trusted(product)
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ write/read round trip is exact.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .densemat import SymMatrix
 from .errors import AsymmetricMatrix, DnInverseError
@@ -128,13 +128,12 @@ def read_sign_matrix(path) -> SignMatrix:
     return SignMatrix.from_rows(rows)
 
 
-def write_sign_matrix(
-    path, s: SignMatrix, comment: str | None = None, *, rows: list[str] | None = None
-) -> None:
-    """Write ``s``; ``rows`` are its ``to_rows()`` when the caller has converted them already."""
+def write_sign_matrix(path, s: SignMatrix | Sequence[str], comment: str | None = None) -> None:
+    """Write ``s``: a sign matrix, or its rows as ``SignMatrix.to_rows`` gives them."""
+    rows = s.to_rows() if isinstance(s, SignMatrix) else s
     with open(path, "w", encoding="utf-8") as handle:
-        _write_header(handle, s.n, comment)
-        for row in s.to_rows() if rows is None else rows:
+        _write_header(handle, len(rows), comment)
+        for row in rows:
             handle.write(row + "\n")
 
 

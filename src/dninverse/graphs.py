@@ -2,9 +2,10 @@
 
 Small toolkit backing the matrix code: connectivity with a component
 certificate, BFS distances, and uniform random labeled trees. A graph is one
-sorted int edge array plus the package's only adjacency, a CSR built on first
-use: ``scipy.sparse.csgraph`` labels components on it, and the one BFS here,
-behind ``bfs_distances`` and the tree layout of ``treesign``, walks it. The
+sorted int edge array plus the package's only adjacency, per-vertex neighbour
+lists built on first use: the one BFS here, behind ``bfs_distances`` and the
+tree layout of ``treesign``, walks them, and so do the neighbour queries.
+``scipy.sparse.csgraph`` labels components on the edge array itself. The
 dense callers, which already hold an n x n boolean mask, skip the edge list:
 ``mask_components`` walks the mask itself.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,14 +62,20 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
                 raise TypeError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
             _check_edge(n, i, j)
         arr = arr.astype(np.int64)
-    bad = ((arr < 1) | (arr > n)).any(axis=1) | (arr[:, 0] == arr[:, 1])
-    if bad.any():
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    if lo.min() < 1 or hi.max() > n or (lo == hi).any():
+        bad = ((arr < 1) | (arr > n)).any(axis=1) | (lo == hi)
         _check_edge(n, *arr[int(bad.argmax())].tolist())  # the first bad row raises
-    lo = np.minimum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
-    hi = np.maximum(arr[:, 0], arr[:, 1]).astype(np.int64, copy=False)
-    key = np.sort(lo * (n + 1) + hi, kind="stable")
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    rows = np.column_stack(np.divmod(key, n + 1))
+    key = lo.astype(np.int64)  # a fresh array, sorted in place
+    key *= n + 1
+    key += hi.astype(np.int64, copy=False)
+    key.sort()
+    repeated = key[1:] == key[:-1]
+    if repeated.any():
+        key = key[np.concatenate(([True], ~repeated))]
+    rows = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n + 1, out=(rows[:, 0], rows[:, 1]))
     rows.setflags(write=False)
     return rows
 
@@ -77,23 +85,22 @@ class UGraph:
 
     ``edges`` may be any iterable of (i, j) pairs or an (m, 2) int array. The
     graph keeps one canonical int64 edge array (rows i < j, sorted, no
-    duplicates), so equality and hashing compare edge sets. ``_csr`` is the
-    adjacency ``(indptr, indices)``, built on first use: the neighbours of v,
-    ascending, are ``indices[indptr[v]:indptr[v + 1]]`` (row 0 is empty), and
-    connectivity, the BFS and the tree layout all read it. ``_tree`` memoizes
-    the validated tree layout that ``treesign`` builds on first use (``False``
-    for a non-tree). Both are derived from the edges and take no part in
-    equality or hashing.
+    duplicates), so equality and hashing compare edge sets. ``_adj`` is the
+    adjacency, built on first use: ``_adj[v]`` lists the neighbours of v in
+    ascending order (``_adj[0]`` is empty), and the neighbour queries, the BFS
+    and the tree layout all read it. ``_tree`` memoizes the validated tree
+    layout that ``treesign`` builds on first use (``False`` for a non-tree).
+    Both are derived from the edges and take no part in equality or hashing.
     """
 
-    __slots__ = ("_n", "_edges", "_csr", "_tree")
+    __slots__ = ("_n", "_edges", "_adj", "_tree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()) -> None:
         if n < 1:
             raise ValueError(f"vertex count must be at least 1, got {n}")
         self._n = n
         self._edges = _canonical_edges(n, edges)
-        self._csr = None
+        self._adj = None
         self._tree = None
 
     @property
@@ -114,34 +121,34 @@ class UGraph:
     def edge_count(self) -> int:
         return self._edges.shape[0]
 
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            lo, hi = self._edges.T
-            # stable by source: the (u, v), u < v rows come before the (v, w) ones,
-            # each run already ascending, so every neighbour list comes out sorted
-            source = np.concatenate((hi, lo))
-            target = np.concatenate((lo, hi))[np.argsort(source, kind="stable")]
-            indptr = np.zeros(self._n + 2, dtype=np.int64)
-            np.cumsum(np.bincount(source, minlength=self._n + 1), out=indptr[1:])
-            self._csr = (indptr, target)
-        return self._csr
+    def _adjacency(self) -> list[list[int]]:
+        """The neighbour lists by vertex number; callers must not modify them."""
+        if self._adj is None:
+            adj = [[] for _ in range(self._n + 1)]
+            # the rows are sorted, so v meets its (u, v), u < v rows before its
+            # (v, w) rows, each run ascending: every list comes out sorted
+            lo, hi = self._edges.T.tolist()  # two flat lists, not one list per row
+            for i, j in zip(lo, hi):
+                adj[i].append(j)
+                adj[j].append(i)
+            self._adj = adj
+        return self._adj
 
-    def _neighbor_array(self, v: int) -> np.ndarray:
+    def _neighbor_list(self, v: int) -> list[int]:
         self._check_vertex(v)
-        indptr, indices = self._adjacency()
-        return indices[indptr[v] : indptr[v + 1]]
+        return self._adjacency()[v]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._neighbor_array(v).tolist())
+        return frozenset(self._neighbor_list(v))
 
     def degree(self, v: int) -> int:
-        return self._neighbor_array(v).size
+        return len(self._neighbor_list(v))
 
     def has_edge(self, i: int, j: int) -> bool:
-        row = self._neighbor_array(i)
+        row = self._neighbor_list(i)
         self._check_vertex(j)
-        k = int(np.searchsorted(row, j))
-        return k < row.size and int(row[k]) == j
+        k = bisect_left(row, j)
+        return k < len(row) and row[k] == j
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self._n):
@@ -171,12 +178,11 @@ def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components as label_components
 
-    indptr, indices = g._adjacency()
-    # drop the unused vertex 0: its row is empty, so indptr[1:] starts at 0
-    adjacency = csr_array((np.ones(indices.size), indices - 1, indptr[1:]), shape=(g.n, g.n))
-    # the CSR already holds both directions of every edge, so weak connectivity
-    # of the directed graph is connectivity, without csgraph symmetrizing it
-    count, labels = label_components(adjacency, directed=True, connection="weak")
+    lo, hi = (g.edge_array - 1).T
+    # one direction per edge: weak connectivity of that directed graph is
+    # connectivity, without csgraph symmetrizing it
+    arcs = csr_array((np.ones(lo.size), (lo, hi)), shape=(g.n, g.n))
+    count, labels = label_components(arcs, directed=True, connection="weak")
     members = np.argsort(labels, kind="stable") + 1  # grouped by label, ascending within
     parts = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
     # disjoint sorted tuples compare by their first, smallest vertex
@@ -228,14 +234,13 @@ def is_connected(g: UGraph) -> Connectivity:
 def _bfs(g: UGraph, source: int) -> tuple[list[int], list[int]]:
     """Breadth-first walk from ``source``: the reached vertices in visiting order,
     and the depth of every vertex by vertex number (-1 when unreached)."""
-    indptr, indices = g._adjacency()
-    starts, targets = indptr.tolist(), indices.tolist()
+    adj = g._adjacency()
     depth = [-1] * (g.n + 1)
     depth[source] = 0
     order = [source]
     for u in order:
         step = depth[u] + 1
-        for w in targets[starts[u] : starts[u + 1]]:
+        for w in adj[u]:
             if depth[w] < 0:
                 depth[w] = step
                 order.append(w)

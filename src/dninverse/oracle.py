@@ -259,20 +259,22 @@ def tree_sign_campaign(
         inv = a_inv.entries
         tol = zero_threshold(inv, rel_tol)
         predicted = predict_tree_sign_pattern(g).signs
+        # +inv where PLUS is predicted and -inv where MINUS is: an entry
+        # contradicts its prediction exactly when it lies below -tol here
+        signed = inv * predicted
         minus_mask = predicted == MINUS
-        plus_off = (predicted == PLUS) & ~np.eye(n, dtype=bool)
-        contradiction = bool(
-            ((inv > tol) & minus_mask).any()
-            or ((inv < -tol) & plus_off).any()
-            or (inv.diagonal() <= 0.0).any()
-        )
+        plus_off = ~minus_mask
+        plus_off.flat[:: n + 1] = False  # the diagonal is PLUS and tested on its own
+        diagonal = inv.diagonal()
+        contradiction = bool((signed < -tol).any() or (diagonal <= 0.0).any())
         ratio_report = leaf_ratio_check(a, a_inv, g, rel_tol=rel_tol)
         in_band = np.abs(inv) <= tol
-        margins = {"min_diagonal_entry": float(inv.diagonal().min())}
+        margins = {"min_diagonal_entry": float(diagonal.min())}
+        # -max(inv) over MINUS is min(-inv) over MINUS: the same float
         if minus_mask.any():
-            margins["min_minus_magnitude"] = -float(np.where(minus_mask, inv, -np.inf).max())
+            margins["min_minus_magnitude"] = float(np.where(minus_mask, signed, np.inf).min())
         if plus_off.any():
-            margins["min_plus_offdiag"] = float(np.where(plus_off, inv, np.inf).min())
+            margins["min_plus_offdiag"] = float(np.where(plus_off, signed, np.inf).min())
         deviations = [r.max_rel_deviation for r in ratio_report.ratios]
         if deviations:
             margins["ratio_deviation_headroom"] = TOL_RATIO - max(deviations)

@@ -27,6 +27,11 @@ MINUS: int = -1
 _CHAR_OFFSET = 44
 
 
+def _sign_text(signs: np.ndarray) -> str:
+    """The '+' and '-' characters of the int8 array ``signs``, in C order."""
+    return (_CHAR_OFFSET - signs).tobytes().decode("ascii")
+
+
 class SignMatrix:
     """Square matrix with entries in {PLUS, MINUS}, immutable after construction."""
 
@@ -76,7 +81,7 @@ class SignMatrix:
 
     def to_rows(self) -> list[str]:
         n = self.n
-        text = (_CHAR_OFFSET - self._signs).tobytes().decode("ascii")
+        text = _sign_text(self._signs)
         return [text[i : i + n] for i in range(0, n * n, n)]
 
     @property

@@ -6,22 +6,24 @@ different colors in the tree's two-coloring, equivalently when their tree
 distance is odd. This module provides the prediction, the leaf-attachment
 rank-one inverse update that drives the induction behind it, the proportional
 leaf-column property, and a generator of random tree-structured instances.
-A graph is validated as a tree once, by one BFS from vertex 1 over its CSR
-adjacency, into a layout memoized on the graph: the parities of the BFS depths
-are the two-coloring, and the CSR degrees give the leaves and their neighbors.
+A graph is validated as a tree once, by one BFS from vertex 1 over its
+neighbour lists, into a layout memoized on the graph: the parities of the BFS
+depths are the two-coloring, and the one-element lists give the leaves and
+their neighbors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import DimensionMismatch, NotATree, SchurNotPositiveDefinite
 from .graphs import UGraph, _bfs, bfs_distances
-from .signpattern import MINUS, PLUS, SignMatrix
+from .signpattern import MINUS, PLUS, SignMatrix, _sign_text
 
 TOL_RATIO = 1e-8
 SCHUR_FLOOR = 1e-12
@@ -65,9 +67,12 @@ def _build_layout(g: UGraph) -> _TreeLayout | bool:
         return False
     # depths reach n - 1, so take the parity before narrowing to int8
     parity = (np.array(depth[1:]) & 1).astype(np.int8)
-    indptr, indices = g._adjacency()
-    leaves = np.flatnonzero(np.diff(indptr[1:]) == 1)
-    return _TreeLayout(parity, leaves, indices[indptr[leaves + 1]] - 1)
+    adj = g._adjacency()
+    leaves = [v for v in range(1, n + 1) if len(adj[v]) == 1]
+    leaf_nbrs = [adj[v][0] for v in leaves]
+    return _TreeLayout(
+        parity, np.array(leaves, dtype=np.intp) - 1, np.array(leaf_nbrs, dtype=np.intp) - 1
+    )
 
 
 def _tree_layout(g: UGraph) -> _TreeLayout | bool:
@@ -100,6 +105,22 @@ def predict_tree_sign_pattern(g: UGraph) -> SignMatrix:
     signs *= MINUS - PLUS
     signs += PLUS
     return SignMatrix._trusted(signs)
+
+
+def predict_tree_sign_rows(g: UGraph) -> list[str]:
+    """The rows of :func:`predict_tree_sign_pattern` as text, in O(n) memory.
+
+    Equal to ``predict_tree_sign_pattern(g).to_rows()``. A tree's pattern has
+    only two distinct rows, one per color, so the list holds n references to
+    two strings instead of n^2 characters. Raises NotATree otherwise.
+    """
+    parity = _require_tree(g).parity
+    signs = np.stack((parity, parity ^ 1))  # row c: 1 where a color differs from c
+    signs *= MINUS - PLUS
+    signs += PLUS
+    text = _sign_text(signs)
+    by_color = (text[: g.n], text[g.n :])
+    return [by_color[c] for c in parity.tolist()]
 
 
 def odd_distance_predicate(g: UGraph, i: int, j: int) -> bool:
@@ -184,9 +205,12 @@ def leaf_attach_inverse_update(
     return SymMatrix._trusted(out)
 
 
-@dataclass(frozen=True)
-class LeafRatio:
-    """Proportionality constant between a leaf column and its parent column."""
+class LeafRatio(NamedTuple):
+    """Proportionality constant between a leaf column and its parent column.
+
+    A named tuple: a check builds one per leaf, and a tuple is the cheapest
+    immutable record to build.
+    """
 
     leaf: int
     parent: int
@@ -247,39 +271,51 @@ def leaf_ratio_check(
         )
     if g.n < 3:
         return LeafRatioReport((), ())
-    # one column per leaf: the leaf's inverse column against its neighbor's,
-    # compared on every row except those two
+    # one row per leaf: the leaf's inverse column against its neighbor's, read
+    # as rows since the inverse is exactly symmetric, compared on every entry
+    # except those two
     inv = a_inverse.entries
     floor = RATIO_SKIP_FACTOR * zero_threshold(inv, rel_tol)
     leaves, nbrs = layout.leaves, layout.leaf_nbrs
-    cols = np.arange(leaves.size)
-    x = inv[:, leaves]
-    y = inv[:, nbrs]
-    compared = np.ones(x.shape, dtype=bool)
-    compared[leaves, cols] = False
-    compared[nbrs, cols] = False
-    usable = compared & ~((np.abs(x) < floor) & (np.abs(y) < floor))
-    checked = usable.sum(axis=0)
-    skipped = (g.n - 2) - checked
-    anchor = np.where(usable, np.abs(y), -1.0).argmax(axis=0)  # first largest |y|
-    x_anchor = x[anchor, cols]
-    y_anchor = y[anchor, cols]
+    rows = np.arange(leaves.size)
+    x = inv[leaves]
+    y = inv[nbrs]
+    abs_x = np.abs(x)
+    abs_y = np.abs(y)
+    # "not both below the floor"; the entries are finite, so no NaN tells them apart
+    usable = (abs_x >= floor) | (abs_y >= floor)
+    usable[rows, leaves] = False
+    usable[rows, nbrs] = False
+    anchor = np.where(usable, abs_y, -1.0).argmax(axis=1)  # first largest |y|
+    x_anchor = x[rows, anchor]
+    y_anchor = y[rows, anchor]
     kappa = np.divide(x_anchor, y_anchor, out=np.zeros_like(x_anchor), where=y_anchor != 0.0)
-    fitted = kappa * y
-    scale = np.maximum(np.maximum(np.abs(x), np.abs(fitted)), 1e-300)
-    max_dev = np.where(usable, np.abs(x - fitted) / scale, 0.0).max(axis=0)
+    fitted = kappa[:, None] * y
+    scale = np.abs(fitted)
+    np.maximum(scale, abs_x, out=scale)
+    np.maximum(scale, 1e-300, out=scale)
+    deviation = x - fitted
+    np.abs(deviation, out=deviation)
+    deviation /= scale
+    max_dev = np.where(usable, deviation, 0.0).max(axis=1)
     ratios = []
     violations = []
-    for k, (v, p) in enumerate(zip((leaves + 1).tolist(), (nbrs + 1).tolist())):
-        if not checked[k]:
-            ratios.append(LeafRatio(v, p, float("nan"), 0.0, 0, int(skipped[k])))
+    for v, p, count, y0, ratio, dev in zip(
+        (leaves + 1).tolist(),
+        (nbrs + 1).tolist(),
+        usable.sum(axis=1).tolist(),
+        y_anchor.tolist(),
+        kappa.tolist(),
+        max_dev.tolist(),
+    ):
+        skipped = g.n - 2 - count
+        if not count:
+            ratios.append(LeafRatio(v, p, float("nan"), 0.0, 0, skipped))
             continue
-        if y_anchor[k] == 0.0:
+        if y0 == 0.0:
             violations.append(f"leaf {v}: parent column vanishes on comparable rows")
             continue
-        ratio = float(kappa[k])
-        dev = float(max_dev[k])
-        ratios.append(LeafRatio(v, p, ratio, dev, int(checked[k]), int(skipped[k])))
+        ratios.append(LeafRatio(v, p, ratio, dev, count, skipped))
         if ratio >= 0.0:
             violations.append(f"leaf {v}: ratio {ratio:g} is not negative")
         if dev > tol_ratio:

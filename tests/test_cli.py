@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import pathlib
@@ -120,7 +121,6 @@ def test_verify_rejects_negative_entry(tmp_path, capsys):
     assert doc["verdict"]["is_entrywise_nonneg"] is False
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_verify_rejects_a_matrix_whose_inverse_overflows(tmp_path, capsys):
     tiny = tmp_path / "tiny.txt"
     tiny.write_text("1\n1e-310\n")
@@ -323,6 +323,20 @@ def test_dense_fuzz_report_matches_golden_seed_7(capsys):
     assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
 
 
+def test_tree_fuzz_report_matches_golden_seed_7(capsys):
+    # The tree campaign alone at sizes 2..200, 300 trials: deeper trees than
+    # the seed-42 fixture, so most in-band tallies come from long paths. Same
+    # tolerance as the seed-42 fixture.
+    argv = ["fuzz", "--theorem", "2", "--trials", "300", "--seed", "7"]
+    assert main([*argv, "--n-min", "2", "--n-max", "200", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    expected = json.loads((FIXTURES / "fuzz_theorem2_seed7_n2_200.json").read_text())
+    assert set(got) == set(expected)
+    for field in ("trials", "failures", "failure_seeds"):
+        assert got[field] == expected[field]
+    assert got["min_margins"] == pytest.approx(expected["min_margins"], rel=1e-12, abs=0.0)
+
+
 def test_golden_necessity_margin_is_within_1e_8_of_the_exact_inverse_entry():
     # The golden "1".min_minus_magnitude comes from trial 372 (n = 85, kappa_2
     # about 6.9e4), entry (25, 37). Its float value depends on how the kernel
@@ -428,6 +442,28 @@ def test_predict_on_a_huge_edgeless_graph_exits_1_without_adjacency(tmp_path, ca
     assert peak < 2**20
 
 
+def test_predict_renders_a_long_path_in_memory_linear_in_n(tmp_path):
+    # the pattern of a tree has two distinct rows, so neither stdout nor --out
+    # needs the n^2 pattern or its n^2 characters at once
+    n = 3000
+    path = tmp_path / "path.graph"
+    path.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    out = tmp_path / "path.signs"
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["predict", str(FIXTURES / "path3.graph")]) == 0  # the parser is cached
+        tracemalloc.start()
+        try:
+            code = main(["predict", str(path), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n // 4
+    rows = read_sign_matrix(out).to_rows()
+    assert rows[0] == "+-" * (n // 2) and rows[1] == "-+" * (n // 2)
+    assert rows[2:] == rows[:-2]
+
+
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     # scipy.sparse is imported by the first connectivity test of a UGraph only;
     # loading it with the CLI would cost every verb its import time and memory
@@ -498,7 +534,6 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout.strip() == "0"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_verify_keeps_a_subnormal_matrix_and_rejects_its_overflowing_inverse(tmp_path, capsys):
     path = tmp_path / "tiny.txt"
     path.write_text("1\n5e-324\n")
@@ -507,3 +542,38 @@ def test_verify_keeps_a_subnormal_matrix_and_rejects_its_overflowing_inverse(tmp
     captured = capsys.readouterr()
     assert "positive definite: no" not in captured.out
     assert "finite" in captured.err
+
+
+def test_an_overflowing_inverse_prints_only_the_error_line(tmp_path, capfd):
+    # numpy's overflow warning would name an internal source line above the
+    # error line (and, with warnings as errors here, escape main altogether)
+    path = tmp_path / "tiny.txt"
+    path.write_text("1\n5e-324\n")
+    assert main(["verify", str(path)]) == 2
+    assert capfd.readouterr().err == "error: matrix entries must be finite\n"
+
+
+@pytest.mark.parametrize("module", ["dninverse", "dninverse.cli"])
+def test_the_cli_runs_as_a_module(module, tmp_path):
+    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    env.pop("PYTHONWARNINGS", None)  # the default filter, as a user runs it
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("1\n5e-324\n")
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    done = cli("check", str(FIXTURES / "path3.signs"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("pattern 3x3: FEASIBLE\n")
+    done = cli("check", str(FIXTURES / "infeasible_split.signs"))
+    assert (done.returncode, done.stderr) == (1, "")
+    assert "  components: {1,2} {3,4}\n" in done.stdout
+    done = cli("check", str(tmp_path / "missing.signs"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")
+    done = cli("verify", str(tiny))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix entries must be finite\n")

@@ -159,7 +159,6 @@ def test_cholesky_invert_of_a_large_matrix_is_square_symmetric_and_an_inverse():
     assert np.abs(a.entries @ x - np.eye(300)).max() <= 1e-9 * 300
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_kernels_reject_an_inverse_that_overflows():
     # the pivot floor is relative, so a lone subnormal entry passes it and its
     # inverse overflows; the kernels must not hand inf on to the sign code

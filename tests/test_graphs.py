@@ -311,9 +311,9 @@ def test_ugraph_checks_narrow_integer_arrays_against_a_wider_vertex_range():
 def test_ugraph_builds_adjacency_only_on_demand():
     g = UGraph(4, np.array([[4, 1], [2, 3], [1, 4]]))
     assert g.edges == ((1, 4), (2, 3))
-    assert g._csr is None  # adjacency is built only when a caller walks it
+    assert g._adj is None  # adjacency is built only when a caller walks it
     assert g.neighbors(1) == frozenset({4})
-    assert g._csr is not None
+    assert g._adj is not None
     assert g == UGraph(4, [(2, 3), (1, 4)])
 
 

@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import networkx
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from dninverse import (
     matrix_graph,
     odd_distance_predicate,
     predict_tree_sign_pattern,
+    predict_tree_sign_rows,
     random_tree,
     random_tree_dn_matrix,
     sign_of,
@@ -31,6 +34,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
+from dninverse.treesign import _tree_layout
 from exact_tree_inverse import exact_inverse_column
 
 PATH3 = UGraph(3, [(1, 2), (2, 3)])
@@ -67,6 +71,16 @@ def test_predict_hand_cases():
     assert predict_tree_sign_pattern(PATH3).to_rows() == ["+-+", "-+-", "+-+"]
     star = predict_tree_sign_pattern(UGraph(4, [(1, 2), (1, 3), (1, 4)]))
     assert star.to_rows() == ["+---", "-+++", "-+++", "-+++"]
+
+
+def test_predicted_rows_are_the_rows_of_the_predicted_pattern():
+    for n in range(1, 601):
+        g = random_tree(n, n)
+        rows = predict_tree_sign_rows(g)
+        assert rows == predict_tree_sign_pattern(g).to_rows()
+        assert len(set(map(id, rows))) == min(n, 2)  # two shared strings
+    with pytest.raises(NotATree):
+        predict_tree_sign_rows(TRIANGLE)
 
 
 def test_prediction_matches_hand_inverted_instance():
@@ -414,6 +428,52 @@ def test_tree_layout_edge_cases(g, leaves):
     assert coloring.color_of(1) == 0
     assert all(coloring.differ(i, j) for i, j in g.edges)
     assert predict_tree_sign_pattern(g) == sign_of(inv)
+
+
+def _graphs_with_n_minus_1_edges(rng):
+    """Trees and non-trees with n - 1 edges, under random vertex labels."""
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        yield random_tree(n, rng)
+        labels = rng.permutation(np.arange(1, n + 1))
+        if n >= 4:  # a cycle through n - 1 vertices, and one isolated vertex
+            ring = labels[:-1]
+            yield UGraph(n, np.column_stack((ring, np.roll(ring, 1))))
+        if n >= 2:  # n - 1 distinct random pairs: cycles, components, now and then a tree
+            pairs = np.array(list(itertools.combinations(range(1, n + 1), 2)))
+            yield UGraph(n, pairs[rng.choice(len(pairs), n - 1, replace=False)])
+    for n in (300, 700):  # paths with depths beyond 255 from vertex 1
+        labels = rng.permutation(np.arange(1, n + 1))
+        yield UGraph(n, np.column_stack((labels[:-1], labels[1:])))
+
+
+def _reference_layout(g):
+    """(parity, leaves, leaf neighbours) by vertex number from networkx and
+    bfs_distances, or None when networkx finds no tree."""
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(range(1, g.n + 1))
+    nxg.add_edges_from(g.edges)
+    if not networkx.is_tree(nxg):
+        return None
+    depth = bfs_distances(g, 1)
+    assert depth == networkx.single_source_shortest_path_length(nxg, 1)
+    leaves = [v for v in range(1, g.n + 1) if nxg.degree(v) == 1]
+    return [depth[v] % 2 for v in range(1, g.n + 1)], leaves, [next(iter(nxg[v])) for v in leaves]
+
+
+def test_tree_layout_matches_a_networkx_and_bfs_distances_reference():
+    trees = 0
+    for g in _graphs_with_n_minus_1_edges(np.random.default_rng(51)):
+        expected = _reference_layout(g)
+        assert is_tree(g) == (expected is not None)
+        if expected is None:
+            assert _tree_layout(g) is False
+            continue
+        trees += 1
+        layout = _tree_layout(g)
+        got = (layout.parity.tolist(), (layout.leaves + 1).tolist(), (layout.leaf_nbrs + 1).tolist())
+        assert got == expected
+    assert trees > 60
 
 
 def test_non_tree_memo_does_not_leak():

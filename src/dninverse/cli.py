@@ -5,8 +5,8 @@ predict (tree sign pattern), verify (doubly-nonnegative membership plus
 inverse pattern), fuzz (randomized campaigns), and search-nonunique (find two
 complete-graph matrices with different inverse patterns). Exit code 0 means
 pass/feasible/found, 1 means the domain answer was negative, 2 means the
-input could not be parsed or read, an output file could not be written, or
-the invocation was malformed.
+input could not be parsed or read, an output file could not be written, the
+work ran out of memory, or the invocation was malformed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
     SymMatrix,
+    _linalg,
     check_rel_tolerance,
     cholesky_invert,
     single_blas_thread,
@@ -321,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared for the life of the process.
 
     Each subcommand names its handler instead of holding it, so ``main``
-    looks the handler up in this module on every call.
+    looks the handler up in this module on every call, and says whether the
+    handler factors a matrix (``lapack``), so ``main`` loads LAPACK first.
     """
     parser = argparse.ArgumentParser(
         prog="dninverse",
@@ -346,25 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide feasibility of a sign pattern file")
     p.add_argument("pattern", help="sign matrix file")
     add_common(p, tol=False)
-    p.set_defaults(func="_cmd_check")
+    p.set_defaults(func="_cmd_check", lapack=False)
 
     p = sub.add_parser("witness", help="synthesize a matrix realizing a feasible pattern")
     p.add_argument("pattern", help="sign matrix file")
     p.add_argument("--out", required=True, help="matrix file to write")
     add_common(p)
-    p.set_defaults(func="_cmd_witness")
+    p.set_defaults(func="_cmd_witness", lapack=True)
 
     p = sub.add_parser("predict", help="predict the inverse sign pattern of a tree")
     p.add_argument("graph", help="edge-list graph file (must be a tree)")
     p.add_argument("--distances", action="store_true", help="show the distance parity behind each off-diagonal sign")
     p.add_argument("--out", help="optional sign matrix file to write")
     add_common(p, tol=False)
-    p.set_defaults(func="_cmd_predict")
+    p.set_defaults(func="_cmd_predict", lapack=False)
 
     p = sub.add_parser("verify", help="check a matrix file for doubly nonnegative membership")
     p.add_argument("matrix", help="matrix file")
     add_common(p)
-    p.set_defaults(func="_cmd_verify")
+    p.set_defaults(func="_cmd_verify", lapack=True)
 
     p = sub.add_parser("fuzz", help="run randomized verification campaigns")
     p.add_argument(
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_density, default=None, help="fix the density instead of drawing it per trial")
     p.add_argument("--out", help="optional JSON report file")
     add_common(p)
-    p.set_defaults(func="_cmd_fuzz")
+    p.set_defaults(func="_cmd_fuzz", lapack=True)
 
     p = sub.add_parser(
         "search-nonunique",
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_value, required=True, help="search seed")
     p.add_argument("--out", help="prefix for the pair files PREFIX-a.txt, PREFIX-b.txt, PREFIX-diff.txt")
     add_common(p)
-    p.set_defaults(func="_cmd_search_nonunique")
+    p.set_defaults(func="_cmd_search_nonunique", lapack=True)
 
     return parser
 
@@ -401,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()[args.func]
+    if args.lapack:  # before the pin, which covers only the pools loaded by then
+        _linalg()
     try:
         with single_blas_thread():
             return handler(args)
@@ -412,6 +416,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # too large a size for this machine, not a negative answer
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

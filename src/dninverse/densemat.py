@@ -11,14 +11,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import AsymmetricMatrix, NotConverged, NotPositiveDefinite
 from .graphs import UGraph, mask_components
@@ -33,31 +31,67 @@ POWER_MAX_ITERS = 10_000
 # numpy and scipy each bundle an OpenBLAS with its own thread pool:
 # (package, library file pattern, thread-count getter, setter)
 _OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so",
+    ("numpy", "numpy.libs/libscipy_openblas64_*.so",
      "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so",
+    ("scipy", "scipy.libs/libscipy_openblas-*.so",
      "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
 
 @functools.cache
-def _openblas_pools() -> tuple:
-    """(getter, setter) pairs of the bundled OpenBLAS libraries already loaded.
+def _linalg():
+    """``scipy.linalg``, imported on the first call and then looked up in the cache.
 
-    Empty under any other BLAS build. RTLD_NOLOAD only finds a library the
-    process has loaded, so this never brings in a second copy.
+    Only the factorizations and the eigensolver need LAPACK, so ``check`` and
+    ``predict`` never load it (a third of a second at import). Importing it
+    also loads scipy's OpenBLAS, whose pool :func:`single_blas_thread` pins
+    only if it is loaded before the block is entered.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+@functools.cache
+def _openblas_pool(package, pattern, get_name, set_name):
+    """(getter, setter) of a package's bundled OpenBLAS, or None when it bundles none.
+
+    Raises KeyError while the package is not imported and OSError while its
+    library is not loaded; an error is not cached, so the pool is looked for
+    again on the next call. RTLD_NOLOAD only finds a library the process has
+    loaded, so this never brings in a second copy.
+    """
+    module = sys.modules[package]  # a package not imported has not loaded its OpenBLAS either
+    libs = sorted(Path(module.__file__).resolve().parent.parent.glob(pattern))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+    try:
+        getter, setter = getattr(lib, get_name), getattr(lib, set_name)
+    except AttributeError:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
+
+
+def _openblas_pools() -> tuple:
+    """(getter, setter) pairs of the bundled OpenBLAS libraries loaded so far.
+
+    numpy's pool is found from the first call, since the package loads its
+    library at import. scipy's is found once ``scipy.linalg`` (or another
+    scipy module that links its OpenBLAS) has been imported; until then it
+    is left out and looked for again on each call. Empty under any other
+    BLAS build.
     """
     pools = []
-    for package, pattern, get_name, set_name in _OPENBLAS:
-        libs = sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))
+    for entry in _OPENBLAS:
         try:
-            lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
-            getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-        except (IndexError, OSError, AttributeError):
+            pool = _openblas_pool(*entry)
+        except (KeyError, OSError):
             continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        pools.append((getter, setter))
+        if pool is not None:
+            pools.append(pool)
     return tuple(pools)
 
 
@@ -67,8 +101,11 @@ def single_blas_thread():
 
     The matrices here are small enough that a second BLAS thread costs more
     in wake-ups than it saves. The thread count is process-wide, so only
-    entry points use this. Pools are left alone when OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS is set, and nothing happens under another BLAS build.
+    entry points use this. The pools are those :func:`_openblas_pools` finds
+    on entry: a library the block loads later keeps its own count, so a
+    caller that will factor calls :func:`_linalg` first. Pools are left alone
+    when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, and nothing happens
+    under another BLAS build.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         yield
@@ -230,7 +267,7 @@ def _cholesky_factor(a: SymMatrix) -> np.ndarray:
         raise NotPositiveDefinite(
             f"largest diagonal entry is {diag_max:g}, matrix cannot be positive definite"
         )
-    upper, info = dpotrf(arr.T, lower=0, clean=1)
+    upper, info = _linalg().lapack.dpotrf(arr.T, lower=0, clean=1)
     if info:
         raise NotPositiveDefinite("Cholesky factorization failed")
     floor = REL_PIVOT_FLOOR * diag_max
@@ -254,7 +291,7 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     times the largest diagonal entry.
     """
     upper = _cholesky_factor(a)
-    uinv, info = dtrtri(upper, lower=0, overwrite_c=1)
+    uinv, info = _linalg().lapack.dtrtri(upper, lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the floor above already excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
     # an inverse beyond the float range is reported by the finiteness check
@@ -303,11 +340,12 @@ def perron_eigenpair(
 
 def min_eigenvalue(a: SymMatrix) -> float:
     """Smallest eigenvalue, from the LAPACK symmetric eigensolver."""
+    scipy_linalg = _linalg()
     try:
-        vals = scipy.linalg.eigvalsh(
+        vals = scipy_linalg.eigvalsh(
             a.entries, subset_by_index=(0, 0), check_finite=False
         )
-    except scipy.linalg.LinAlgError as exc:
+    except scipy_linalg.LinAlgError as exc:
         raise NotConverged(f"symmetric eigensolver failed: {exc}") from exc
     return float(vals[0])
 

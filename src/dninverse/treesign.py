@@ -264,18 +264,28 @@ def leaf_ratio_check(
     are skipped as numerically uninformative; leaves with no comparable rows
     (the 2 x 2 case) contribute nothing.
     """
-    layout = _require_tree(g)
+    _require_tree(g)
     if a.n != g.n or a_inverse.n != g.n:
         raise DimensionMismatch(
             f"matrix sizes {a.n}, {a_inverse.n} do not match graph size {g.n}"
         )
+    inv = a_inverse.entries
+    return _leaf_ratio_report(g, inv, zero_threshold(inv, rel_tol), tol_ratio)
+
+
+def _leaf_ratio_report(
+    g: UGraph, inv: np.ndarray, tol: float, tol_ratio: float = TOL_RATIO
+) -> LeafRatioReport:
+    """:func:`leaf_ratio_check` on a validated tree ``g`` and the entries ``inv``
+    of an n x n inverse, given the zero threshold ``tol`` of ``inv``.
+    """
     if g.n < 3:
         return LeafRatioReport((), ())
     # one row per leaf: the leaf's inverse column against its neighbor's, read
     # as rows since the inverse is exactly symmetric, compared on every entry
     # except those two
-    inv = a_inverse.entries
-    floor = RATIO_SKIP_FACTOR * zero_threshold(inv, rel_tol)
+    layout = _require_tree(g)
+    floor = RATIO_SKIP_FACTOR * tol
     leaves, nbrs = layout.leaves, layout.leaf_nbrs
     rows = np.arange(leaves.size)
     x = inv[leaves]

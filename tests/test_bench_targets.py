@@ -45,6 +45,6 @@ def test_traced_campaign_records_its_layers(tracer):
     with recorder.installed(), redirect_stdout(io.StringIO()):
         assert cli.main(["fuzz", "--theorem", "2", "--trials", "3", "--seed", "1", "--json"]) == 0
     calls = recorder.summary()["calls"]
-    for span in ("cli.main", "oracle.tree_sign_campaign", "treesign.leaf_ratio_check",
+    for span in ("cli.main", "oracle.tree_sign_campaign", "treesign.predict_tree_sign_pattern",
                  "treesign.random_tree_dn_matrix", "densemat.cholesky_invert", "graphs.UGraph"):
         assert calls.get(span, 0) > 0, span

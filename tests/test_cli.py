@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dninverse
-from dninverse import cli, densemat, read_matrix, read_sign_matrix, verify_doubly_nonnegative
+from dninverse import cli, densemat, oracle, read_matrix, read_sign_matrix, verify_doubly_nonnegative
 from dninverse.cli import main
 from dninverse.oracle import necessity_campaign
 
@@ -419,13 +419,36 @@ def test_main_runs_when_no_openblas_is_found(monkeypatch, capsys):
         monkeypatch.delenv(name, raising=False)
     missing = tuple((pkg, "no-such-dir/libnothing-*.so", get, put) for pkg, _, get, put in densemat._OPENBLAS)
     monkeypatch.setattr(densemat, "_OPENBLAS", missing)
-    densemat._openblas_pools.cache_clear()
+    densemat._openblas_pool.cache_clear()
     try:
         assert densemat._openblas_pools() == ()
         assert main(["check", str(FIXTURES / "path3.signs")]) == 0
         assert "FEASIBLE" in capsys.readouterr().out
     finally:
-        densemat._openblas_pools.cache_clear()
+        densemat._openblas_pool.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "error: out of memory"),
+        (
+            MemoryError("Unable to allocate 26.8 GiB for an array with shape (60000, 60000) and data type float64"),
+            "error: Unable to allocate 26.8 GiB for an array with shape (60000, 60000) and data type float64",
+        ),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_running_out_of_memory_exits_2_with_one_error_line(error, line, monkeypatch, capsys):
+    # exit 1 is a negative domain answer; a size the machine cannot hold is not one
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(oracle, "random_dn_matrix", exhausted)
+    argv = ["fuzz", "--theorem", "1", "--trials", "1", "--seed", "1", "--n-min", "60000", "--n-max", "60000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
 
 
 def test_predict_on_a_huge_edgeless_graph_exits_1_without_adjacency(tmp_path, capsys):
@@ -464,21 +487,27 @@ def test_predict_renders_a_long_path_in_memory_linear_in_n(tmp_path):
     assert rows[2:] == rows[:-2]
 
 
+def _fresh_python(code, *args, env=None):
+    """stdout of ``code`` run in a new interpreter that imports this checkout's package."""
+    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
     # scipy.sparse is imported by the first connectivity test of a UGraph only;
     # loading it with the CLI would cost every verb its import time and memory
-    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
     code = "import sys, dninverse.cli; print('scipy.sparse' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(package_root)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(code) == "False"
 
 
 def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
     # check, verify, witness and the necessity campaign test connectivity on
     # the boolean mask they hold, never through an edge-list graph
-    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
     calls = [
         ["check", str(FIXTURES / "path3.signs")],
         ["check", str(FIXTURES / "infeasible_split.signs")],
@@ -493,13 +522,117 @@ def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "print(codes, 'scipy.sparse' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(package_root)}
-    done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(calls)],
-        capture_output=True, text=True, env=env, timeout=120,
+    assert _fresh_python(code, json.dumps(calls)) == "[0, 1, 0, 0, 0] False"
+
+
+def test_importing_the_package_and_the_cli_leaves_scipy_unloaded():
+    # scipy.linalg is a third of a second of import time; only the verbs that
+    # factor a matrix load it
+    code = (
+        "import sys\n"
+        "import dninverse\n"
+        "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))\n"
+        "import dninverse.cli\n"
+        "print(sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 1, 0, 0, 0] False"
+    assert _fresh_python(code).splitlines() == ["[]", "[]"]
+
+
+_SCIPY_AFTER_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "from dninverse.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(json.loads(sys.argv[1]))\n"
+    "print(code, sorted({'scipy', 'scipy.linalg'} & set(sys.modules)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", str(FIXTURES / "path3.signs")], 0),
+        (["check", str(FIXTURES / "infeasible_split.signs"), "--json"], 1),
+        (["predict", str(FIXTURES / "path3.graph"), "--distances"], 0),
+        (["predict", str(FIXTURES / "triangle.graph")], 1),
+    ],
+    ids=["check", "check-infeasible", "predict", "predict-not-a-tree"],
+)
+def test_check_and_predict_leave_scipy_unloaded(argv, code):
+    assert _fresh_python(_SCIPY_AFTER_MAIN, json.dumps(argv)) == f"{code} []"
+
+
+def test_verify_loads_scipy_linalg():
+    argv = ["verify", str(FIXTURES / "path3_matrix.txt")]
+    assert _fresh_python(_SCIPY_AFTER_MAIN, json.dumps(argv)) == "0 ['scipy', 'scipy.linalg']"
+
+
+# Thread count of numpy's and of scipy's bundled OpenBLAS pool, None for one
+# not loaded yet, read without dninverse's own lookup
+_POOL_COUNTS = """
+import ctypes, os
+from pathlib import Path
+
+import numpy
+
+SITE = Path(numpy.__file__).resolve().parent.parent
+POOLS = [
+    (sorted(SITE.glob(pattern)), symbol)
+    for pattern, symbol in (
+        ("numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        ("scipy.libs/libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
+    )
+]
+
+
+def pool_counts():
+    counts = []
+    for libs, symbol in POOLS:
+        try:
+            counts.append(getattr(ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD), symbol)())
+        except OSError:
+            counts.append(None)
+    return counts
+"""
+
+
+def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpreter():
+    # A fresh interpreter has not loaded scipy's OpenBLAS when main starts. The
+    # pin covers only the pools found when it is taken, so main must load
+    # LAPACK first, or verify factors with scipy's pool at its old count; and
+    # the pools found by the check before it must not be kept as the final set.
+    code = _POOL_COUNTS + (
+        "import contextlib, io, json\n"
+        "from dninverse import cli, densemat\n"
+        "if not all(libs for libs, _ in POOLS):\n"
+        "    print(json.dumps(None))\n"
+        "    raise SystemExit\n"
+        "during = []\n"
+        "def recording(kernel):\n"
+        "    def wrapped(*args, **kwargs):\n"
+        "        during.append(pool_counts())\n"
+        "        return kernel(*args, **kwargs)\n"
+        "    return wrapped\n"
+        "cli.cholesky_invert = recording(cli.cholesky_invert)\n"
+        "densemat.min_eigenvalue = recording(densemat.min_eigenvalue)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['check', sys.argv[1]])]\n"
+        "    before = pool_counts()\n"
+        "    codes.append(cli.main(['verify', sys.argv[2]]))\n"
+        "print(json.dumps({'codes': codes, 'before': before, 'during': during, 'after': pool_counts()}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_DEFAULT_NUM_THREADS"] = "2"  # both pools start with two threads when loaded
+    files = str(FIXTURES / "path3.signs"), str(FIXTURES / "path3_matrix.txt")
+    seen = json.loads(_fresh_python("import sys\n" + code, *files, env=env))
+    if seen is None:
+        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
+    if seen["before"][0] != 2:
+        pytest.skip("OpenBLAS starts fewer than two threads on this machine")
+    assert seen["codes"] == [0, 0]
+    assert seen["before"] == [2, None]  # scipy's OpenBLAS is loaded by the second main
+    assert len(seen["during"]) == 2  # the inverse and the eigenvalue
+    assert all(counts == [1, 1] for counts in seen["during"]), seen["during"]
+    assert seen["after"] == [2, 2]
 
 
 def test_main_builds_the_parser_once_for_many_calls(capsys):
@@ -526,12 +659,8 @@ def test_the_cached_parser_survives_a_usage_error(capsys):
 
 
 def test_importing_the_cli_builds_no_parser():
-    package_root = pathlib.Path(dninverse.__file__).resolve().parent.parent
     code = "import dninverse.cli as cli; print(cli.build_parser.cache_info().currsize)"
-    env = {**os.environ, "PYTHONPATH": str(package_root)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "0"
+    assert _fresh_python(code) == "0"
 
 
 def test_verify_keeps_a_subnormal_matrix_and_rejects_its_overflowing_inverse(tmp_path, capsys):

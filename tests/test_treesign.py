@@ -34,7 +34,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
-from dninverse.treesign import _tree_layout
+from dninverse.treesign import TOL_RATIO, _leaf_ratio_report, _tree_layout
 from exact_tree_inverse import exact_inverse_column
 
 PATH3 = UGraph(3, [(1, 2), (2, 3)])
@@ -377,6 +377,22 @@ def test_leaf_ratio_check_equals_reference_loop_on_true_inverses():
                 leaf_ratio_check(a, inv, g, rel_tol=rel_tol),
                 _reference_leaf_ratio_check(a, inv, g, rel_tol=rel_tol),
             )
+
+
+def test_leaf_ratio_check_equals_the_campaign_path_given_the_threshold():
+    # the tree campaign passes the zero threshold it has already computed
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        g = random_tree(int(rng.integers(1, 80)), rng)
+        a = random_tree_dn_matrix(g, rng)
+        inv = cholesky_invert(a)
+        for rel_tol in (1e-12, 1e-6, 0.5):
+            tol = zero_threshold(inv.entries, rel_tol)
+            for tol_ratio in (TOL_RATIO, 1e-18):  # 1e-18 turns deviations into violations
+                _same_report(
+                    _leaf_ratio_report(g, inv.entries, tol, tol_ratio),
+                    leaf_ratio_check(a, inv, g, tol_ratio=tol_ratio, rel_tol=rel_tol),
+                )
 
 
 def test_leaf_ratio_check_equals_reference_loop_on_arbitrary_matrices():

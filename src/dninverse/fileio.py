@@ -6,11 +6,19 @@ depends on the kind. Matrices have n rows of n whitespace-separated decimals,
 sign matrices have n rows of '+'/'-' characters, graphs have one "i j" line
 per edge with 1-indexed endpoints. Writers emit 17 significant digits so a
 write/read round trip is exact.
+
+Matrices are symmetric, so a matrix file spells every off-diagonal value
+twice. The writer formats each mirrored pair once and reuses the text below
+the diagonal; the reader parses a below-diagonal field only when its text
+differs from its mirror's. The bytes written and the floats read are those of
+converting every entry on its own.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .densemat import SymMatrix
 from .errors import AsymmetricMatrix, DnInverseError
@@ -67,10 +75,18 @@ def _no_trailing(path, lines: Iterator[tuple[int, str]]) -> None:
 
 
 def read_matrix(path) -> SymMatrix:
-    """Parse a symmetric matrix file; malformed input raises :class:`ParseError`."""
+    """Parse a symmetric matrix file; malformed input raises :class:`ParseError`.
+
+    A row whose below-diagonal fields all read as the text of their mirrors is
+    parsed from the diagonal on, and its lower part is copied from the mirror
+    column: the same text is the same float. Any other row is parsed in full,
+    and :class:`SymMatrix` symmetrizes or rejects what differs.
+    """
     lines = _content_lines(path)
     _, n = _read_size(path, lines)
-    rows = []
+    rows = []  # row i as floats: all n, or from the diagonal on when mirrored
+    # per earlier row, its texts right of the diagonal still to be compared, last column first
+    pending = []
     for i in range(n):
         try:
             line_no, text = next(lines)
@@ -81,13 +97,22 @@ def read_matrix(path) -> SymMatrix:
             raise ParseError(
                 path, line_no, f"expected {n} entries in row {i + 1}, found {len(fields)}"
             )
+        mirrored = fields[:i] == list(map(list.pop, pending))
+        parsed = fields[i:] if mirrored else fields
         try:
-            rows.append([float(f) for f in fields])
+            rows.append(np.fromiter(map(float, parsed), float, len(parsed)))
         except ValueError:
             raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
+        pending.append(fields[:i:-1])
     _no_trailing(path, lines)
+    arr = np.empty((n, n))
+    for i, row in enumerate(rows):
+        arr[i, n - row.size :] = row
+        if row.size < n:
+            arr[i, :i] = arr[:i, i]
+    del rows  # before SymMatrix copies arr
     try:
-        return SymMatrix(rows)
+        return SymMatrix(arr)
     except (AsymmetricMatrix, ValueError) as exc:
         raise ParseError(path, 0, str(exc)) from None
 
@@ -101,12 +126,30 @@ def _write_header(handle, n: int, comment: str | None) -> None:
 
 
 def write_matrix(path, a: SymMatrix, comment: str | None = None) -> None:
+    """Write ``a`` one row per line, each entry spelled as ``f"{v:.17g}"``.
+
+    The entries on and above the diagonal are formatted once per row, and
+    each is written again as its mirror below the diagonal of a later row, so
+    the file is byte for byte that of formatting every entry. Raises
+    ValueError, before the file is opened, when ``a`` is not symmetric bit
+    for bit; a :class:`SymMatrix` always is.
+    """
+    arr = a.entries
+    bits = arr.view(np.int64)
+    if not np.array_equal(bits, bits.T):
+        raise ValueError("matrix to write is not symmetric bit for bit")
+    n = a.n
     with open(path, "w", encoding="utf-8") as handle:
-        _write_header(handle, a.n, comment)
-        # one %-format per row; "%.17g" % v spells every float as f"{v:.17g}"
-        row_format = " ".join(["%.17g"] * a.n) + "\n"
-        for row in a.entries:
-            handle.write(row_format % tuple(row.tolist()))
+        _write_header(handle, n, comment)
+        # per earlier row, its texts right of the diagonal still to be written, last column first
+        pending = []
+        for i in range(n):
+            # "%.17g" % v spells every float as f"{v:.17g}"
+            upper = (("%.17g " * (n - i)) % tuple(arr[i, i:].tolist())).split()
+            row = list(map(list.pop, pending))
+            row += upper
+            handle.write(" ".join(row) + "\n")
+            pending.append(upper[:0:-1])
 
 
 def read_sign_matrix(path) -> SignMatrix:

@@ -223,6 +223,30 @@ def test_search_nonunique_output_is_pinned(n, pair, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {**expected["json"], "files": files}
 
 
+def _feasible_minus(n, rng):
+    """MINUS mask of a feasible pattern: a random recursive tree of MINUS pairs
+    plus random extra pairs, drawn as the benchmark's ``feasible_minus`` draws it."""
+    order = rng.permutation(n) + 1
+    parent_pos = (rng.random(n - 1) * np.arange(1, n)).astype(int)
+    edges = np.column_stack([order[1:], order[parent_pos]])
+    flip = rng.random(n - 1) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    edges = edges[rng.permutation(n - 1)]
+    minus = np.triu(rng.random((n, n)) < 0.5, k=1)
+    minus[edges[:, 0] - 1, edges[:, 1] - 1] = True
+    return minus | minus.T
+
+
+def test_witness_file_is_pinned(tmp_path, capsys):
+    minus = _feasible_minus(40, np.random.default_rng(40))
+    pattern = tmp_path / "p.signs"
+    pattern.write_text("40\n" + "".join("".join("-" if m else "+" for m in row) + "\n" for row in minus))
+    out = tmp_path / "witness.txt"
+    assert main(["witness", str(pattern), "--out", str(out)]) == 0
+    assert f"witness 40x40 written to {out}" in capsys.readouterr().out
+    assert out.read_bytes() == (FIXTURES / "witness_feasible40_seed40.txt").read_bytes()
+
+
 def test_search_alias_and_budget_exhaustion(capsys):
     code = main(["search", "--seed", "0", "--max-trials", "1"])
     assert code == 1

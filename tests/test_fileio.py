@@ -1,8 +1,10 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dninverse import (
     ParseError,
@@ -17,6 +19,35 @@ from dninverse import (
     write_matrix,
     write_sign_matrix,
 )
+from dninverse.errors import AsymmetricMatrix
+from dninverse.fileio import _content_lines, _no_trailing, _read_size
+
+
+def reference_read_matrix(path) -> SymMatrix:
+    """Reference matrix reader: every field of every row goes through float(),
+    and the rows are lists of Python floats."""
+    lines = _content_lines(path)
+    _, n = _read_size(path, lines)
+    rows = []
+    for i in range(n):
+        try:
+            line_no, text = next(lines)
+        except StopIteration:
+            raise ParseError(path, 0, f"expected {n} matrix rows, found {i}") from None
+        fields = text.split()
+        if len(fields) != n:
+            raise ParseError(
+                path, line_no, f"expected {n} entries in row {i + 1}, found {len(fields)}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
+    _no_trailing(path, lines)
+    try:
+        return SymMatrix(rows)
+    except (AsymmetricMatrix, ValueError) as exc:
+        raise ParseError(path, 0, str(exc)) from None
 
 
 def test_matrix_round_trip_is_exact(tmp_path):
@@ -81,6 +112,13 @@ def test_matrix_reader_rejects_missing_file(tmp_path):
         read_matrix(tmp_path / "absent.txt")
 
 
+def _format_spec_file(a: SymMatrix, comment: str | None = None) -> str:
+    """What write_matrix must produce: every entry formatted on its own."""
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in a.entries.tolist()]
+    head = "".join(f"# {line}\n" for line in comment.splitlines()) if comment else ""
+    return head + f"{a.n}\n" + "".join(row + "\n" for row in rows)
+
+
 def test_matrix_writer_spells_each_entry_as_the_format_spec_does(tmp_path):
     edge = [
         -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
@@ -90,13 +128,173 @@ def test_matrix_writer_spells_each_entry_as_the_format_spec_does(tmp_path):
     n = len(edge)
     rng = np.random.default_rng(3)
     values = np.array(edge)[rng.integers(0, n, size=(n, n))]
-    # write_matrix reads only n and the entries; a SymMatrix cannot hold
-    # +-1.7976931348623157e308, since (M + M^T) / 2 overflows on it
-    a = SimpleNamespace(n=n, entries=np.triu(values) + np.triu(values, k=1).T)
+    mirrored = np.where(np.triu(np.ones((n, n), dtype=bool)), values, values.T)
+    # entries equal to their mirror bit for bit are kept as given, the float
+    # maximum and -0.0 included
+    a = SymMatrix(mirrored)
+    assert np.array_equal(a.entries.view(np.int64), mirrored.view(np.int64))
     path = tmp_path / "m.txt"
     write_matrix(path, a, comment="edge values")
-    rows = [" ".join(f"{v:.17g}" for v in row) for row in a.entries.tolist()]
-    assert path.read_text() == "# edge values\n" + f"{n}\n" + "".join(row + "\n" for row in rows)
+    assert path.read_text() == _format_spec_file(a, "edge values")
+
+
+@st.composite
+def _symmetrized_within_tolerance(draw):
+    """Arrays mirrored bit for bit over all finite floats (subnormals, signed
+    zeros, the float maximum), then with some mirrors moved one ulp toward
+    zero and some mirrored zeros given the other sign."""
+    n = draw(st.integers(1, 40))
+    tiny = np.finfo(float).smallest_normal
+    entry = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-tiny, tiny),
+        st.sampled_from((0.0, -0.0)),
+    )
+    raw = draw(arrays(float, (n, n), elements=entry))
+    lower = np.tril_indices(n, -1)
+    raw[lower] = raw.T[lower]
+    # one ulp is within the symmetry tolerance away from the subnormals
+    moved = draw(arrays(bool, (n, n))) & (np.abs(raw) > 1e-280)
+    raw = np.where(moved, np.nextafter(raw, 0.0), raw)
+    flipped = draw(arrays(bool, (n, n))) & (raw == 0.0)
+    return np.where(flipped, -raw, raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetrized_within_tolerance())
+def test_matrix_writer_output_equals_formatting_every_entry(tmp_path_factory, raw):
+    a = SymMatrix(raw)
+    path = tmp_path_factory.getbasetemp() / "written.txt"
+    write_matrix(path, a, comment="probe\nsecond line")
+    assert path.read_text() == _format_spec_file(a, "probe\nsecond line")
+    assert read_matrix(path).entries.view(np.int64).tolist() == a.entries.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1.0, 2.0], [2.0000000000000004, 1.0]], [[1.0, -0.0], [0.0, 1.0]]],
+    ids=["one-ulp", "signed-zero"],
+)
+def test_matrix_writer_rejects_a_matrix_not_symmetric_bit_for_bit(tmp_path, entries):
+    a = SymMatrix._trusted(np.array(entries))  # a faulty kernel's output
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="not symmetric bit for bit"):
+        write_matrix(path, a)
+    assert not path.exists()
+
+
+def _spellings(v: float, rng) -> str:
+    """One of the texts float() reads as exactly ``v``, picked at random."""
+    texts = [f"{v:.17g}", repr(v), f"{v:.25e}"]
+    if not np.signbit(v):
+        texts.append("+" + repr(v))
+    if v.is_integer() and abs(v) < 2.0**53:
+        texts.append(("-" if np.signbit(v) else "") + str(abs(int(v))))  # 1 for 1.0, -0 for -0.0
+    digits = [k for k in range(1, len(repr(v))) if repr(v)[k - 1 : k + 1].isdigit()]
+    if digits:
+        k = digits[rng.integers(len(digits))]
+        texts.append(repr(v)[:k] + "_" + repr(v)[k:])
+    text = texts[rng.integers(len(texts))]
+    assert float(text) == v and np.signbit(float(text)) == np.signbit(v), text
+    return text
+
+
+def _spelled_matrix_file(path, rng) -> None:
+    """A symmetric or nearly symmetric matrix, each field spelled at random,
+    mirrors spelled alike or not; now and then a bad field or row."""
+    n = int(rng.integers(1, 25))
+    pool = [
+        lambda: float(rng.random()), lambda: float(rng.integers(-4, 5)), lambda: 0.0,
+        lambda: -0.0, lambda: 5e-324 * int(rng.integers(1, 9)), lambda: float(rng.random()) * 1e300,
+    ]
+    values = np.array([[pool[rng.integers(len(pool))]() for _ in range(n)] for _ in range(n)])
+    lower = np.tril_indices(n, -1)
+    values[lower] = values.T[lower]
+    near, flip, alike = rng.choice([(0.0, 0.0, 1.0), (0.0, 0.0, 0.9), (0.02, 0.3, 0.6)])
+    moved = (rng.random((n, n)) < near) & (np.abs(values) > 1e-280)
+    values = np.where(moved, np.nextafter(values, np.inf), values)
+    flipped = (rng.random((n, n)) < flip) & (values == 0.0)
+    values = np.where(flipped, -values, values)
+    texts = [[_spellings(v, rng) for v in row] for row in values.tolist()]
+    bits = values.view(np.int64)
+    for i, j in zip(*lower):
+        if bits[i, j] == bits[j, i] and rng.random() < alike:
+            texts[i][j] = texts[j][i]
+    fault = rng.integers(8)
+    if fault == 0:
+        i, j = rng.integers(n, size=2)
+        texts[i][j] = "x"
+    elif fault == 1:
+        i, j = rng.integers(n, size=2)
+        texts[i][j] = texts[j][i] = "1..0"
+    elif fault == 2:
+        del texts[rng.integers(n)][0]
+    path.write_text(f"{n}\n" + "".join(" ".join(row) + "\n" for row in texts), encoding="utf-8")
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path).entries.view(np.int64).tolist()
+    except ParseError as exc:
+        return (exc.line_no, exc.reason)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matrix_reader_equals_the_reference_on_any_spelling(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "m.txt"
+    for _ in range(15):
+        _spelled_matrix_file(path, rng)
+        assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "text, line_no, reason",
+    [
+        ("3\n1 2 3\nx 1 2\n3 2 1\n", 3, "invalid number in row 2"),  # lower field bad, mirror fine
+        ("3\n1 x 3\nx 1 2\n3 2 1\n", 2, "invalid number in row 1"),  # both mirrors bad alike
+        ("3\n1 2 3\n2 1 2\n3 2\n", 4, "expected 3 entries in row 3, found 2"),  # after mirrored rows
+    ],
+    ids=["invalid-lower", "invalid-mirror-pair", "short-row"],
+)
+def test_matrix_reader_names_the_row_the_reference_names(tmp_path, text, line_no, reason):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    for reader in (read_matrix, reference_read_matrix):
+        with pytest.raises(ParseError) as info:
+            reader(path)
+        assert (info.value.line_no, info.value.reason) == (line_no, reason)
+
+
+def test_read_matrix_of_a_huge_size_allocates_only_the_rows_it_reads(tmp_path):
+    n = 100_000
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{n}\n" + "0 " * n + "\n")  # about 200 KB, one full row
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.line_no, info.value.reason) == (0, f"expected {n} matrix rows, found 1")
+    assert peak < 8 * 2**20  # an n x n array would be 74.5 GiB
+
+
+def test_read_matrix_of_300_rows_peaks_below_5_mib(tmp_path):
+    rng = np.random.default_rng(300)
+    b = rng.random((300, 300))
+    a = SymMatrix(b @ b.T)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    tracemalloc.start()
+    try:
+        read = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == a
+    assert peak < 5 * 2**20
 
 
 def test_sign_matrix_round_trip(tmp_path):

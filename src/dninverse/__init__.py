@@ -4,166 +4,54 @@ Feasibility of a {+, -} pattern as the entrywise sign matrix of the inverse of
 an invertible irreducible doubly nonnegative matrix, explicit witness
 synthesis, the forced two-coloring pattern for tree-structured matrices, and
 brute-force oracles plus randomized campaigns for verifying all of it.
+
+Importing the package loads none of its modules: each public name, and each
+module named as an attribute (``dninverse.oracle``), is imported from its
+defining module on first access. A resolved name is not kept here, so the
+package always hands out what the defining module binds at that moment.
 """
 
-from .densemat import (
-    POWER_MAX_ITERS,
-    POWER_TOL,
-    REL_PIVOT_FLOOR,
-    REL_SYM_TOL,
-    REL_TOL_RESIDUAL,
-    REL_TOL_ZERO,
-    DnVerdict,
-    EigenPair,
-    SymMatrix,
-    cholesky_invert,
-    matrix_graph,
-    min_eigenvalue,
-    perron_eigenpair,
-    verify_doubly_nonnegative,
-    zero_threshold,
-)
-from .errors import (
-    AsymmetricMatrix,
-    AsymmetricSignMatrix,
-    DimensionMismatch,
-    DnInverseError,
-    InfeasiblePattern,
-    NotATree,
-    NotConverged,
-    NotPositiveDefinite,
-    SchurNotPositiveDefinite,
-    TooLarge,
-)
-from .fileio import (
-    ParseError,
-    read_graph,
-    read_matrix,
-    read_sign_matrix,
-    write_graph,
-    write_matrix,
-    write_sign_matrix,
-)
-from .graphs import (
-    Connectivity,
-    UGraph,
-    bfs_distances,
-    connected_components,
-    is_connected,
-    random_tree,
-)
-from .oracle import (
-    Bipartition,
-    CampaignReport,
-    NonUniquenessPair,
-    all_bipartitions,
-    bipartition_crossing_oracle,
-    necessity_campaign,
-    quadratic_form_gap,
-    random_dn_matrix,
-    search_nonunique_complete,
-    tree_sign_campaign,
-    trial_seed,
-)
-from .signpattern import (
-    MINUS,
-    PLUS,
-    FeasibilityReport,
-    SignMatrix,
-    ambiguous_signs,
-    check_feasible,
-    construct_witness,
-    negative_sign_graph,
-    random_feasible_sign_matrix,
-    sign_of,
-)
-from .treesign import (
-    LeafAttachment,
-    LeafRatio,
-    LeafRatioReport,
-    TwoColoring,
-    is_tree,
-    leaf_attach_inverse_update,
-    leaf_ratio_check,
-    odd_distance_predicate,
-    predict_tree_sign_pattern,
-    predict_tree_sign_rows,
-    random_tree_dn_matrix,
-    two_coloring,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymmetricMatrix",
-    "AsymmetricSignMatrix",
-    "Bipartition",
-    "CampaignReport",
-    "Connectivity",
-    "DimensionMismatch",
-    "DnInverseError",
-    "DnVerdict",
-    "EigenPair",
-    "FeasibilityReport",
-    "InfeasiblePattern",
-    "LeafAttachment",
-    "LeafRatio",
-    "LeafRatioReport",
-    "MINUS",
-    "NonUniquenessPair",
-    "NotATree",
-    "NotConverged",
-    "NotPositiveDefinite",
-    "PLUS",
-    "POWER_MAX_ITERS",
-    "POWER_TOL",
-    "ParseError",
-    "REL_PIVOT_FLOOR",
-    "REL_SYM_TOL",
-    "REL_TOL_RESIDUAL",
-    "REL_TOL_ZERO",
-    "SchurNotPositiveDefinite",
-    "SignMatrix",
-    "SymMatrix",
-    "TooLarge",
-    "TwoColoring",
-    "UGraph",
-    "all_bipartitions",
-    "ambiguous_signs",
-    "bfs_distances",
-    "bipartition_crossing_oracle",
-    "check_feasible",
-    "cholesky_invert",
-    "connected_components",
-    "construct_witness",
-    "is_connected",
-    "is_tree",
-    "leaf_attach_inverse_update",
-    "leaf_ratio_check",
-    "matrix_graph",
-    "min_eigenvalue",
-    "necessity_campaign",
-    "negative_sign_graph",
-    "odd_distance_predicate",
-    "perron_eigenpair",
-    "predict_tree_sign_pattern",
-    "predict_tree_sign_rows",
-    "quadratic_form_gap",
-    "random_dn_matrix",
-    "random_feasible_sign_matrix",
-    "random_tree",
-    "random_tree_dn_matrix",
-    "read_graph",
-    "read_matrix",
-    "read_sign_matrix",
-    "search_nonunique_complete",
-    "sign_of",
-    "tree_sign_campaign",
-    "trial_seed",
-    "two_coloring",
-    "verify_doubly_nonnegative",
-    "write_graph",
-    "write_matrix",
-    "write_sign_matrix",
-    "zero_threshold",
-]
+# defining module -> the public names it defines
+_EXPORTS = {
+    "densemat": """POWER_MAX_ITERS POWER_TOL REL_PIVOT_FLOOR REL_SYM_TOL
+        REL_TOL_RESIDUAL REL_TOL_ZERO DnVerdict EigenPair SymMatrix
+        cholesky_invert matrix_graph min_eigenvalue perron_eigenpair
+        verify_doubly_nonnegative zero_threshold""",
+    "errors": """AsymmetricMatrix AsymmetricSignMatrix DimensionMismatch
+        DnInverseError InfeasiblePattern NotATree NotConverged
+        NotPositiveDefinite SchurNotPositiveDefinite TooLarge""",
+    "fileio": """ParseError read_graph read_matrix read_sign_matrix write_graph
+        write_matrix write_sign_matrix""",
+    "graphs": """Connectivity UGraph bfs_distances connected_components
+        is_connected random_tree""",
+    "oracle": """Bipartition CampaignReport NonUniquenessPair all_bipartitions
+        bipartition_crossing_oracle necessity_campaign quadratic_form_gap
+        random_dn_matrix search_nonunique_complete tree_sign_campaign
+        trial_seed""",
+    "signpattern": """MINUS PLUS FeasibilityReport SignMatrix ambiguous_signs
+        check_feasible construct_witness negative_sign_graph
+        random_feasible_sign_matrix sign_of""",
+    "treesign": """LeafAttachment LeafRatio LeafRatioReport TwoColoring is_tree
+        leaf_attach_inverse_update leaf_ratio_check odd_distance_predicate
+        predict_tree_sign_pattern predict_tree_sign_rows random_tree_dn_matrix
+        two_coloring""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

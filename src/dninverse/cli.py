@@ -7,6 +7,11 @@ complete-graph matrices with different inverse patterns). Exit code 0 means
 pass/feasible/found, 1 means the domain answer was negative, 2 means the
 input could not be parsed or read, an output file could not be written, the
 work ran out of memory, or the invocation was malformed.
+
+Importing this module loads what check, verify and witness run; the campaign
+modules ``oracle`` and ``treesign`` are imported by the verbs that use them
+(fuzz and search-nonunique, predict), and ``scipy.linalg`` by the first
+factorization.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
     SymMatrix,
-    _linalg,
     check_rel_tolerance,
     cholesky_invert,
     single_blas_thread,
@@ -38,9 +42,7 @@ from .fileio import (
     write_sign_matrix,
 )
 from .graphs import bfs_distances
-from .oracle import necessity_campaign, search_nonunique_complete, tree_sign_campaign
 from .signpattern import ambiguous_signs, check_feasible, construct_witness, sign_of
-from .treesign import predict_tree_sign_rows
 
 
 def _seed_value(text: str) -> int:
@@ -164,6 +166,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .treesign import predict_tree_sign_rows
+
     g = read_graph(args.graph)
     rows = predict_tree_sign_rows(g)  # n references to two strings
     lines = [f"{g.n}"] + rows
@@ -235,6 +239,8 @@ def _campaign_lines(name: str, report) -> list[str]:
 
 
 def _cmd_fuzz(args) -> int:
+    from .oracle import necessity_campaign, tree_sign_campaign
+
     n_range = (args.n_min, args.n_max)
     reports = {}
     if args.theorem in ("1", "all"):
@@ -268,6 +274,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_search_nonunique(args) -> int:
+    from .oracle import search_nonunique_complete
+
     found = search_nonunique_complete(
         args.n, args.max_trials, args.seed, rel_tol=args.tol_zero
     )
@@ -322,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared for the life of the process.
 
     Each subcommand names its handler instead of holding it, so ``main``
-    looks the handler up in this module on every call, and says whether the
-    handler factors a matrix (``lapack``), so ``main`` loads LAPACK first.
+    looks the handler up in this module on every call.
     """
     parser = argparse.ArgumentParser(
         prog="dninverse",
@@ -348,25 +355,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide feasibility of a sign pattern file")
     p.add_argument("pattern", help="sign matrix file")
     add_common(p, tol=False)
-    p.set_defaults(func="_cmd_check", lapack=False)
+    p.set_defaults(func="_cmd_check")
 
     p = sub.add_parser("witness", help="synthesize a matrix realizing a feasible pattern")
     p.add_argument("pattern", help="sign matrix file")
     p.add_argument("--out", required=True, help="matrix file to write")
     add_common(p)
-    p.set_defaults(func="_cmd_witness", lapack=True)
+    p.set_defaults(func="_cmd_witness")
 
     p = sub.add_parser("predict", help="predict the inverse sign pattern of a tree")
     p.add_argument("graph", help="edge-list graph file (must be a tree)")
     p.add_argument("--distances", action="store_true", help="show the distance parity behind each off-diagonal sign")
     p.add_argument("--out", help="optional sign matrix file to write")
     add_common(p, tol=False)
-    p.set_defaults(func="_cmd_predict", lapack=False)
+    p.set_defaults(func="_cmd_predict")
 
     p = sub.add_parser("verify", help="check a matrix file for doubly nonnegative membership")
     p.add_argument("matrix", help="matrix file")
     add_common(p)
-    p.set_defaults(func="_cmd_verify", lapack=True)
+    p.set_defaults(func="_cmd_verify")
 
     p = sub.add_parser("fuzz", help="run randomized verification campaigns")
     p.add_argument(
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_density, default=None, help="fix the density instead of drawing it per trial")
     p.add_argument("--out", help="optional JSON report file")
     add_common(p)
-    p.set_defaults(func="_cmd_fuzz", lapack=True)
+    p.set_defaults(func="_cmd_fuzz")
 
     p = sub.add_parser(
         "search-nonunique",
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_value, required=True, help="search seed")
     p.add_argument("--out", help="prefix for the pair files PREFIX-a.txt, PREFIX-b.txt, PREFIX-diff.txt")
     add_common(p)
-    p.set_defaults(func="_cmd_search_nonunique", lapack=True)
+    p.set_defaults(func="_cmd_search_nonunique")
 
     return parser
 
@@ -403,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()[args.func]
-    if args.lapack:  # before the pin, which covers only the pools loaded by then
-        _linalg()
     try:
         with single_blas_thread():
             return handler(args)

@@ -4,6 +4,9 @@ Construction with a symmetrization gate, Cholesky-based inversion (LAPACK
 ``potrf`` + ``trtri``) with a pivot floor, extremal eigenvalues, and the
 doubly-nonnegative membership verdict. All tolerances are relative to the
 scale of the input and overridable at the call sites that classify entries.
+``scipy.linalg`` is imported by the first factorization, and
+:func:`single_blas_thread` pins numpy's OpenBLAS pool and, as it loads,
+scipy's.
 """
 
 from __future__ import annotations
@@ -38,17 +41,27 @@ _OPENBLAS = (
 )
 
 
+# (setter, thread count) pairs that the outermost active single_blas_thread
+# block puts back on exit; None outside any block. Process-wide, as the thread
+# counts it records are.
+_pinned = None
+
+
 @functools.cache
 def _linalg():
     """``scipy.linalg``, imported on the first call and then looked up in the cache.
 
     Only the factorizations and the eigensolver need LAPACK, so ``check`` and
     ``predict`` never load it (a third of a second at import). Importing it
-    also loads scipy's OpenBLAS, whose pool :func:`single_blas_thread` pins
-    only if it is loaded before the block is entered.
+    also loads scipy's OpenBLAS: inside a :func:`single_blas_thread` block,
+    that pool is pinned to one thread here and restored with the others when
+    the block ends.
     """
     import scipy.linalg
 
+    if _pinned is not None:
+        known = [setter for setter, _ in _pinned]  # ctypes functions do not hash
+        _pinned.extend(_pin(pool for pool in _openblas_pools() if pool[1] not in known))
     return scipy.linalg
 
 
@@ -95,6 +108,14 @@ def _openblas_pools() -> tuple:
     return tuple(pools)
 
 
+def _pin(pools) -> list:
+    """Set each (getter, setter) pool to one thread; its (setter, previous count) pairs."""
+    saved = [(setter, getter()) for getter, setter in pools]
+    for setter, _ in saved:
+        setter(1)
+    return saved
+
+
 @contextmanager
 def single_blas_thread():
     """Run the block with every OpenBLAS pool on one thread, then restore the counts.
@@ -102,20 +123,23 @@ def single_blas_thread():
     The matrices here are small enough that a second BLAS thread costs more
     in wake-ups than it saves. The thread count is process-wide, so only
     entry points use this. The pools are those :func:`_openblas_pools` finds
-    on entry: a library the block loads later keeps its own count, so a
-    caller that will factor calls :func:`_linalg` first. Pools are left alone
-    when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, and nothing happens
-    under another BLAS build.
+    on entry, plus scipy's when :func:`_linalg` loads it inside the block.
+    Pools are left alone when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set,
+    and nothing happens under another BLAS build.
     """
+    global _pinned
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         yield
         return
-    saved = [(setter, getter()) for getter, setter in _openblas_pools()]
-    for setter, _ in saved:
-        setter(1)
+    saved = _pin(_openblas_pools())
+    outermost = _pinned is None
+    if outermost:
+        _pinned = saved
     try:
         yield
     finally:
+        if outermost:
+            _pinned = None
         for setter, count in saved:
             setter(count)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import os
@@ -590,6 +591,41 @@ def test_verify_loads_scipy_linalg():
     assert _fresh_python(_SCIPY_AFTER_MAIN, json.dumps(argv)) == "0 ['scipy', 'scipy.linalg']"
 
 
+# The package modules loaded by `import dninverse` alone (argv null), by
+# `import dninverse.cli` (argv []), or by one main call
+_MODULES_AFTER_MAIN = (
+    "import contextlib, io, json, sys\n"
+    "import dninverse\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv is not None:\n"
+    "    from dninverse.cli import main\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        argv and main(argv)\n"
+    "print(sorted(name for name in sys.modules if name.startswith('dninverse.')))\n"
+)
+_CLI_MODULES = ["cli", "densemat", "errors", "fileio", "graphs", "signpattern"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        ([], _CLI_MODULES),
+        (["check", str(FIXTURES / "path3.signs")], _CLI_MODULES),
+        (["verify", str(FIXTURES / "path3_matrix.txt")], _CLI_MODULES),
+        (["witness", str(FIXTURES / "path3.signs"), "--out", os.devnull], _CLI_MODULES),
+        (["predict", str(FIXTURES / "path3.graph")], _CLI_MODULES + ["treesign"]),
+        (["fuzz", "--trials", "2", "--seed", "1"], _CLI_MODULES + ["oracle", "treesign"]),
+    ],
+    ids=["package", "cli", "check", "verify", "witness", "predict", "fuzz"],
+)
+def test_each_verb_loads_only_the_package_modules_it_runs(argv, loaded):
+    # the campaign modules oracle and treesign are imported by the verbs that
+    # call them, and the package itself imports none of its modules
+    expected = sorted(f"dninverse.{name}" for name in loaded)
+    assert _fresh_python(_MODULES_AFTER_MAIN, json.dumps(argv)) == str(expected)
+
+
 # Thread count of numpy's and of scipy's bundled OpenBLAS pool, None for one
 # not loaded yet, read without dninverse's own lookup
 _POOL_COUNTS = """
@@ -620,10 +656,10 @@ def pool_counts():
 
 
 def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpreter():
-    # A fresh interpreter has not loaded scipy's OpenBLAS when main starts. The
-    # pin covers only the pools found when it is taken, so main must load
-    # LAPACK first, or verify factors with scipy's pool at its old count; and
-    # the pools found by the check before it must not be kept as the final set.
+    # A fresh interpreter has not loaded scipy's OpenBLAS when main starts, so
+    # verify loads it inside the pin: the pin must take that pool on as it
+    # loads, or verify factors with scipy's pool at its old count; and the
+    # pools found by the check before it must not be kept as the final set.
     code = _POOL_COUNTS + (
         "import contextlib, io, json\n"
         "from dninverse import cli, densemat\n"
@@ -657,6 +693,50 @@ def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpre
     assert len(seen["during"]) == 2  # the inverse and the eigenvalue
     assert all(counts == [1, 1] for counts in seen["during"]), seen["during"]
     assert seen["after"] == [2, 2]
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["one-block", "nested-blocks"])
+def test_the_pin_covers_scipys_pool_when_the_block_loads_it(nested):
+    # scipy.linalg is first imported by the factorization inside the block; a
+    # nested block that loads it leaves it pinned until the outer block ends
+    code = _POOL_COUNTS + (
+        "import contextlib, json, sys\n"
+        "from dninverse import densemat\n"
+        "if not all(libs for libs, _ in POOLS):\n"
+        "    print(json.dumps(None))\n"
+        "    raise SystemExit\n"
+        "before = pool_counts()\n"
+        "during = []\n"
+        "factor = densemat._cholesky_factor\n"
+        "def recording(a):\n"
+        "    upper = factor(a)\n"
+        "    during.append(pool_counts())\n"
+        "    return upper\n"
+        "densemat._cholesky_factor = recording\n"
+        "with densemat.single_blas_thread():\n"
+        "    inner = densemat.single_blas_thread() if json.loads(sys.argv[1]) else contextlib.nullcontext()\n"
+        "    with inner:\n"
+        "        densemat.cholesky_invert(densemat.SymMatrix([[2.0, 1.0], [1.0, 2.0]]))\n"
+        "    during.append(pool_counts())\n"
+        "print(json.dumps({'before': before, 'during': during, 'after': pool_counts()}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_DEFAULT_NUM_THREADS"] = "2"
+    seen = json.loads(_fresh_python(code, json.dumps(nested), env=env))
+    if seen is None:
+        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
+    if seen["before"][0] != 2:
+        pytest.skip("OpenBLAS starts fewer than two threads on this machine")
+    assert seen["before"] == [2, None]  # scipy.linalg is not imported yet
+    assert seen["during"] == [[1, 1], [1, 1]]  # after the factor, and at the end of the block
+    assert seen["after"] == [2, 2]
+
+
+def test_no_subcommand_declares_whether_it_loads_lapack():
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.choices
+    for name, parser in subparsers.choices.items():
+        assert parser.get_default("lapack") is None, name
 
 
 def test_main_builds_the_parser_once_for_many_calls(capsys):

@@ -12,10 +12,17 @@ twice. The writer formats each mirrored pair once and reuses the text below
 the diagonal; the reader parses a below-diagonal field only when its text
 differs from its mirror's. The bytes written and the floats read are those of
 converting every entry on its own.
+
+The writer formats in bulk, a block of rows at a time: numpy computes each
+entry's 17-digit significand exactly, in double-double arithmetic, and lays
+it out as "%.17g" does; the few entries that the error bound cannot round,
+or that lie outside the range the scaling table covers, are formatted by
+Python.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -118,38 +125,218 @@ def read_matrix(path) -> SymMatrix:
 
 
 def _write_header(handle, n: int, comment: str | None) -> None:
-    """Each comment line behind '# ', then the size line."""
+    """Each comment line behind '# ', then the size line.
+
+    What UTF-8 cannot encode, such as the lone surrogate that stands for an
+    undecodable byte of a file name, is written as a backslash escape.
+    """
     if comment:
         for line in comment.splitlines():
-            handle.write(f"# {line}\n")
+            handle.write(f"# {line}\n".encode("utf-8", "backslashreplace").decode("utf-8"))
     handle.write(f"{n}\n")
+
+
+# Bulk "%.17g" for write_matrix. An entry x with _FAST_MIN < |x| < _FAST_MAX
+# and 10**k <= |x| < 10**(k+1) is spelled from the 17-digit integer
+# D = round(|x| * 10**(16 - k)), the significand "%.17g" prints. The product is
+# formed in double-double arithmetic (Dekker, Numer. Math. 18, 1971) from a
+# table of 10**p as hi + lo, so that its integer part and fraction are known
+# to within an error bound; an entry whose fraction lies too close to 1/2 to
+# round, and every entry outside the fast range (subnormals included), is
+# formatted by Python, as in Grisu's fallback (Loitsch, PLDI 2010).
+#
+# The bound, for the final scaled value V = |x| * 10**p with p = 16 - k and
+# 2**53 < V < 2**57, u = 2**-53; in the fast range no product over- or
+# underflows. The table pair has |hi + lo - 10**p| <= u**2 * 10**p, which
+# costs |x| * u**2 * 10**p < 2**-49. Dekker's product gives |x| * hi as
+# ph + pl exactly, ph an integer and |pl| <= 8. The product t = fl(|x| * lo),
+# |t| < 16, is off by at most 2**-49, and r = fl(pl + t), |r| < 32, by at
+# most 2**-48. So V = ph + r within 2**-47: when the fraction of r lies
+# farther than that from 1/2, round(V) = ph + floor(r) + (fraction > 1/2),
+# even where floor(r) is off by one next to an integer. The band below is
+# 2**7 times the bound. A first pass whose k is one off only compares V with
+# 10**16 and 10**17: there V < 2**60 is within 2**-44, or V < 2**53 lies far
+# below 10**16.
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# p = 16 - k over the fast range, with k estimated one too low or high
+_P_MIN, _P_MAX = -265, 298
+_TIE_BAND = 2.0**-40
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+_BLOCK = 2**13  # matrix entries formatted and written per block of rows
+_WIDTH = 25  # the longest token, "-1.2345678901234567e-100", and its separator
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of the bulk formatter, read-only, built on first use.
+
+    First, rows hi, hi's two Dekker halves and lo, with hi + lo = 10**p to 106
+    bits, one column per p in _P_MIN.._P_MAX, from exact integers: int / int
+    and float(int) round correctly. Then, per group of four digits 0..9999,
+    its ASCII digits (one row per place) and its count of trailing zeros (4
+    for 0000).
+    """
+    columns = []
+    for p in range(_P_MIN, _P_MAX + 1):
+        if p >= 0:
+            hi = float(10**p)
+            lo = float(10**p - int(hi))
+        else:
+            scale = 10**-p
+            hi = 1 / scale
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * scale) / (den * scale)
+        split = _SPLIT * hi
+        head = split - (split - hi)
+        columns.append((hi, head, hi - head, lo))
+    pow10 = np.array(columns, dtype=np.float64).T.copy()
+    group = np.arange(10000, dtype=np.int64)
+    places = np.array([[1000], [100], [10], [1]], dtype=np.int64)
+    group_digits = (group // places % 10 + ord("0")).astype(np.uint8)
+    group_zeros = sum((group % 10**t == 0).astype(np.int64) for t in range(1, 5))
+    for table in (pow10, group_digits, group_zeros):
+        table.flags.writeable = False
+    return pow10, group_digits, group_zeros
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of ``a * 10**(16 - k)``, within the bound above."""
+    hi, head, tail, lo = np.take(_tables()[0], 16 - k - _P_MIN, axis=1)
+    product = a * hi
+    split = a * _SPLIT
+    a_head = split - (split - a)
+    a_tail = a - a_head
+    error = ((a_head * head - product) + a_head * tail + a_tail * head) + a_tail * tail
+    rest = error + a * lo
+    whole = np.floor(rest)
+    return product.astype(np.int64) + whole.astype(np.int64), rest - whole
+
+
+def _format_each(values: np.ndarray) -> list[bytes]:
+    """The entries the bulk path leaves to Python, one at a time."""
+    return [b"%.17g" % v for v in values.tolist()]
+
+
+def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``f"{v:.17g}"`` and a space for each of ``values`` into the rows
+    of ``out`` (uint8, C-contiguous, ``_WIDTH`` columns), NUL after the
+    space, and return the token lengths."""
+    m = values.size
+    neg = np.signbit(values)
+    a = np.abs(values)
+    zero = a == 0.0
+    fast = (a > _FAST_MIN) & (a < _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, k)
+    # log10 can miss k by one next to a power of ten; the scaled value decides.
+    # Within the bound of a power of ten either k spells the same token.
+    shift = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        whole[moved], frac[moved] = _scaled(a[moved], k[moved])
+    sig = whole + (frac > 0.5)
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) <= _TIE_BAND) | (sig < 10**16) | (sig > 10**17)
+    carry = sig == 10**17  # 9.99...95 rounds up to the next power of ten
+    sig[carry] = 10**16
+    k += carry
+    sig[zero] = 0
+    k[zero] = 0
+
+    # the 17 digits of sig, one array per place: a leading digit, then four
+    # groups of four; kept counts them up to the last nonzero one (1 for zero)
+    _, group_digits, group_zeros = _tables()
+    groups = []
+    for _ in range(4):
+        rest = sig // 10000
+        groups.insert(0, sig - rest * 10000)
+        sig = rest
+    digits = [sig + ord("0")]
+    for group in groups:
+        digits.extend(np.take(group_digits, group, axis=1))
+    trailing = group_zeros[groups[3]]
+    for j in (2, 1, 0):
+        trailing = trailing + (trailing == 4 * (3 - j)) * group_zeros[groups[j]]
+    kept = 17 - trailing
+
+    # %g layout: exponent form for k < -4 or k >= 17, else fixed. Digit t is
+    # written at first + t, one further right once past the point.
+    exponent = (k < -4) | (k >= 17)
+    small = (k < 0) & ~exponent  # "0.000ddd"
+    point_after = np.where(exponent, 0, np.where(small, 17, k))
+    shown = np.where(exponent | small, kept, np.maximum(kept, k + 1))
+    point = shown > point_after + 1
+    start = np.arange(m) * _WIDTH  # of each row in the flat buffer
+    first = start + neg + np.where(small, 1 - k, 0)  # of the first digit
+    end = first + shown + point
+    last = end + np.where(exponent, 4 + (np.abs(k) >= 100), 0)  # the separator
+
+    flat = out.reshape(-1)
+    flat[:] = 0
+    flat[start[neg]] = ord("-")
+    for j, char in enumerate(b"0.000"):  # "0." and the zeros before the first digit
+        at = small & (j < 1 - k)
+        flat[start[at] + neg[at] + j] = char
+    for t, column in enumerate(digits):
+        # a digit not shown lands on the separator or the exponent, written after it
+        flat[np.minimum(first + t + (t > point_after), last)] = column
+    flat[(first + point_after + 1)[point]] = ord(".")
+    e = end[exponent]
+    mag = np.abs(k[exponent])
+    flat[e] = ord("e")
+    flat[e + 1] = np.where(k[exponent] < 0, ord("-"), ord("+"))
+    hundreds = mag >= 100
+    flat[e[hundreds] + 2] = mag[hundreds] // 100 + ord("0")
+    flat[last[exponent] - 2] = mag // 10 % 10 + ord("0")
+    flat[last[exponent] - 1] = mag % 10 + ord("0")
+
+    length = last - start
+    fallback = np.flatnonzero(slow)
+    if fallback.size:
+        texts = _format_each(values[fallback])
+        out[fallback] = np.array(texts, dtype=f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+        length[fallback] = list(map(len, texts))
+    flat[start + length] = ord(" ")
+    return length
 
 
 def write_matrix(path, a: SymMatrix, comment: str | None = None) -> None:
     """Write ``a`` one row per line, each entry spelled as ``f"{v:.17g}"``.
 
-    The entries on and above the diagonal are formatted once per row, and
-    each is written again as its mirror below the diagonal of a later row, so
-    the file is byte for byte that of formatting every entry. Raises
-    ValueError, before the file is opened, when ``a`` is not symmetric bit
-    for bit; a :class:`SymMatrix` always is.
+    The entries on and above the diagonal are formatted in bulk, a block of
+    rows at a time, and each token is written again as its mirror below the
+    diagonal of a later row, so the file is byte for byte that of formatting
+    every entry on its own. Each block is written as it is assembled; the
+    upper tokens are kept, 25 bytes per entry. Raises ValueError, before the
+    file is opened, when ``a`` is not symmetric bit for bit; a
+    :class:`SymMatrix` always is.
     """
     arr = a.entries
     bits = arr.view(np.int64)
     if not np.array_equal(bits, bits.T):
         raise ValueError("matrix to write is not symmetric bit for bit")
     n = a.n
+    # the upper triangle packed row by row: entry (i, j), j >= i, at first[i] + j - i
+    i = np.arange(n + 1, dtype=np.int64)
+    first = i * n - i * (i - 1) // 2
+    tokens = np.empty((first[n], _WIDTH), dtype=np.uint8)
+    lengths = np.empty(first[n], dtype=np.uint8)
+    cols = np.arange(n, dtype=np.int64)
+    step = max(1, _BLOCK // n)
     with open(path, "w", encoding="utf-8") as handle:
         _write_header(handle, n, comment)
-        # per earlier row, its texts right of the diagonal still to be written, last column first
-        pending = []
-        for i in range(n):
-            # "%.17g" % v spells every float as f"{v:.17g}"
-            upper = (("%.17g " * (n - i)) % tuple(arr[i, i:].tolist())).split()
-            row = list(map(list.pop, pending))
-            row += upper
-            handle.write(" ".join(row) + "\n")
-            pending.append(upper[:0:-1])
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            rows = cols[r0:r1, None]
+            block = slice(first[r0], first[r1])
+            lengths[block] = _format_tokens(arr[r0:r1][cols >= rows], tokens[block])
+            low = np.minimum(rows, cols)
+            index = first[low] + np.maximum(rows, cols) - low
+            text = np.take(tokens.view(f"V{_WIDTH}"), index).view(np.uint8).reshape(-1)
+            # each row's last separator becomes its line end
+            text[(cols[: r1 - r0] * n + n - 1) * _WIDTH + lengths[index[:, -1]]] = ord("\n")
+            handle.write(text.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def read_sign_matrix(path) -> SignMatrix:

@@ -97,6 +97,20 @@ def test_predict_writes_pattern_file(tmp_path):
     assert read_sign_matrix(out).to_rows() == ["+-+", "-+-", "+-+"]
 
 
+def test_predict_out_escapes_a_graph_path_that_is_not_utf8(tmp_path, capsys):
+    # the byte 0xe9 comes through argv as a lone surrogate, which the comment
+    # naming the graph writes as a backslash escape
+    graph = tmp_path / os.fsdecode(b"tree\xe9.graph")
+    graph.write_text("3\n1 2\n2 3\n", encoding="utf-8")
+    out = tmp_path / "predicted.signs"
+    code = main(["predict", str(graph), "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert read_sign_matrix(out).to_rows() == printed[1:4] == ["+-+", "-+-", "+-+"]
+    assert out.read_text(encoding="utf-8").startswith("# predicted from ")
+    assert "tree\\udce9.graph" in out.read_text(encoding="utf-8")
+
+
 def test_predict_rejects_non_tree(capsys):
     code = main(["predict", str(FIXTURES / "triangle.graph")])
     assert code == 1

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from dninverse import (
     SignMatrix,
     SymMatrix,
     UGraph,
+    cholesky_invert,
+    construct_witness,
     random_dn_matrix,
     read_graph,
     read_matrix,
@@ -19,6 +23,7 @@ from dninverse import (
     write_matrix,
     write_sign_matrix,
 )
+from dninverse import fileio
 from dninverse.errors import AsymmetricMatrix
 from dninverse.fileio import _content_lines, _no_trailing, _read_size
 
@@ -183,6 +188,133 @@ def test_matrix_writer_rejects_a_matrix_not_symmetric_bit_for_bit(tmp_path, entr
     assert not path.exists()
 
 
+def _with_upper(values) -> SymMatrix:
+    """The smallest symmetric matrix whose upper triangle, row by row, starts
+    with ``values``, zeros after them, mirrored bit for bit."""
+    values = np.asarray(values, dtype=np.float64)
+    n = 1
+    while n * (n + 1) // 2 < values.size:
+        n += 1
+    arr = np.zeros((n, n))
+    upper = np.triu_indices(n)
+    arr[upper[0][: values.size], upper[1][: values.size]] = values
+    lower = np.tril_indices(n, -1)
+    arr[lower] = arr.T[lower]
+    a = SymMatrix(arr)
+    assert np.array_equal(a.entries.view(np.int64), arr.view(np.int64))
+    return a
+
+
+def _written(path, a: SymMatrix) -> str:
+    write_matrix(path, a)
+    return path.read_text()
+
+
+@pytest.fixture
+def python_formatted(monkeypatch):
+    """The values the writer leaves to Python's own formatting."""
+    seen = []
+    bulk_fallback = fileio._format_each
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return bulk_fallback(values)
+
+    monkeypatch.setattr(fileio, "_format_each", spy)
+    return seen
+
+
+def _powers_of_ten_and_neighbours(exponents) -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in exponents])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def test_matrix_writer_spells_powers_of_ten_and_their_neighbours(tmp_path):
+    # every 10**k inside the bulk range, the switches to exponent form at 1e-5
+    # and 1e17 included, of both signs
+    values = _powers_of_ten_and_neighbours(range(-279, 280))
+    a = _with_upper(np.concatenate([values, -values]))
+    assert _written(tmp_path / "m.txt", a) == _format_spec_file(a)
+
+
+def _extremes() -> np.ndarray:
+    """The bulk range's borders, the normal and subnormal extremes, their
+    neighbours, of both signs, and both zeros."""
+    info = np.finfo(np.float64)
+    borders = np.array([fileio._FAST_MIN, fileio._FAST_MAX, info.smallest_normal, 5e-324, 2.5e-320])
+    values = np.concatenate([borders, np.nextafter(borders, 0.0), np.nextafter(borders, np.inf)])
+    values = np.concatenate([values, [info.max, np.nextafter(info.max, 0.0)]])
+    return np.concatenate([values, -values, [0.0, -0.0]])
+
+
+def test_matrix_writer_spells_the_extremes_and_leaves_those_out_of_range_to_python(
+    tmp_path, python_formatted
+):
+    values = _extremes()
+    a = _with_upper(values)
+    assert _written(tmp_path / "m.txt", a) == _format_spec_file(a)
+    outside = [v for v in values.tolist() if v and not fileio._FAST_MIN < abs(v) < fileio._FAST_MAX]
+    assert sorted(python_formatted) == sorted(outside)
+
+
+def _scaled_fraction(x: float) -> Fraction:
+    """The fraction of |x| * 10**(16 - k), 10**k <= |x| < 10**(k + 1), exactly."""
+    exact = abs(Fraction(x))
+    k = math.floor(math.log10(abs(x)))
+    k += (exact >= Fraction(10) ** (k + 1)) - (exact < Fraction(10) ** k)
+    scaled = exact * Fraction(10) ** (16 - k)
+    return scaled - math.floor(scaled)
+
+
+def _in_the_tie_band() -> list[float]:
+    """Doubles whose 17-digit rounding is a tie or within the tie band of one."""
+    # x = m / 2**(17 - k) with m odd in [10**k, 10**(k + 1)) scales to m * 5**(16 - k) / 2
+    ties = [1 + 2.0**-17, 1000000000000000.25, 100000000000000.125, 1049 / 2**20]
+    # x = m * 2**-69 in [1e-5, 1e-4) scales to m * 5**21 / 2**48: fraction 1/2 + d / 2**48
+    inverse = pow(5**21, -1, 2**48)
+    near = [((2**47 + d) * inverse % 2**48 + 22 * 2**48) * 2.0**-69 for d in (-255, -100, -1, 0, 1, 100, 255)]
+    values = ties + near
+    values += [-v for v in values]
+    for v in values:
+        assert abs(_scaled_fraction(v) - Fraction(1, 2)) <= fileio._TIE_BAND, v
+    return values
+
+
+def test_matrix_writer_leaves_entries_in_the_tie_band_to_python(tmp_path, python_formatted):
+    band = _in_the_tie_band()
+    a = _with_upper(band + [0.1, 1 / 3, 2.0**-60])
+    assert _written(tmp_path / "m.txt", a) == _format_spec_file(a)
+    assert sorted(python_formatted) == sorted(band)
+
+
+def test_matrix_writer_spells_a_matrix_of_several_blocks(tmp_path, python_formatted):
+    n = 300
+    assert n * (n + 1) // 2 > 4 * fileio._BLOCK
+    rng = np.random.default_rng(300)
+    b = rng.random((n, n))
+    short = [0.5, -0.25, 0.0625, 0.001, -1.5, 7.0, 100.0, 1e16, 2.5e20, -1e-7]  # "0.5" is shorter than "0.000"
+    planted = np.concatenate(
+        [_powers_of_ten_and_neighbours(range(-25, 25)), _extremes(), _in_the_tie_band(), short]
+    )
+    upper = (b @ b.T / n)[np.triu_indices(n)]
+    spots = rng.choice(upper.size, size=planted.size, replace=False)
+    upper[spots] = planted
+    a = _with_upper(upper)
+    assert _written(tmp_path / "m.txt", a) == _format_spec_file(a)
+    # every value the bulk path left to Python is a planted one
+    assert set(python_formatted) <= set(planted.tolist())
+
+
+def test_matrix_writer_spells_the_path_witness_with_its_zeros_and_subnormals(tmp_path):
+    n = 200
+    rows = ["".join("-" if abs(i - j) == 1 else "+" for j in range(n)) for i in range(n)]
+    a = cholesky_invert(construct_witness(SignMatrix.from_rows(rows)))
+    entries = a.entries
+    assert (entries == 0.0).any()
+    assert ((entries != 0.0) & (np.abs(entries) < np.finfo(np.float64).smallest_normal)).any()
+    assert _written(tmp_path / "m.txt", a) == _format_spec_file(a)
+
+
 def _spellings(v: float, rng) -> str:
     """One of the texts float() reads as exactly ``v``, picked at random."""
     texts = [f"{v:.17g}", repr(v), f"{v:.25e}"]
@@ -295,6 +427,23 @@ def test_read_matrix_of_300_rows_peaks_below_5_mib(tmp_path):
         tracemalloc.stop()
     assert read == a
     assert peak < 5 * 2**20
+
+
+def test_write_matrix_of_1000_rows_peaks_below_18_mib(tmp_path):
+    # a random SPD matrix of the longest tokens: 17 digits and a three-digit
+    # exponent, the off-diagonal ones half negative
+    rng = np.random.default_rng(1000)
+    b = rng.standard_normal((1000, 1000)) * 1e-60
+    a = SymMatrix(b @ b.T)
+    del b
+    path = tmp_path / "m.txt"
+    tracemalloc.start()
+    try:
+        write_matrix(path, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20  # the upper tokens take 11.9 MiB
 
 
 def test_sign_matrix_round_trip(tmp_path):

@@ -27,10 +27,13 @@ from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
     SymMatrix,
+    _cholesky_factor,
+    _dn_verdict,
+    _factor_or_none,
+    _invert_factor,
     check_rel_tolerance,
     cholesky_invert,
     single_blas_thread,
-    verify_doubly_nonnegative,
 )
 from .errors import DnInverseError
 from .fileio import (
@@ -125,8 +128,10 @@ def _cmd_witness(args) -> int:
         return 1
     q = construct_witness(pattern)
     realizing = cholesky_invert(q)
-    roundtrip = cholesky_invert(realizing)
-    verdict = verify_doubly_nonnegative(realizing, args.tol_zero)
+    # one factor of the witness serves its round trip and its verdict; a
+    # witness that fails to factor stops here, with the factorization's error
+    roundtrip = _invert_factor(_cholesky_factor(realizing))
+    verdict = _dn_verdict(realizing, args.tol_zero, positive_definite=True)
     exact = sign_of(roundtrip, args.tol_zero) == pattern
     identity = np.eye(pattern.n)
     residual = max(
@@ -192,7 +197,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = read_matrix(args.matrix)
-    verdict = verify_doubly_nonnegative(a, args.tol_zero)
+    upper = _factor_or_none(a)  # decides positive definiteness, then gives the inverse
+    verdict = _dn_verdict(a, args.tol_zero, upper is not None)
     lines = _tolerance_header(args) + [
         f"matrix {a.n}x{a.n}: "
         + ("doubly nonnegative" if verdict.passed else "NOT doubly nonnegative"),
@@ -204,7 +210,7 @@ def _cmd_verify(args) -> int:
     ]
     document = {"n": a.n, "verdict": verdict.to_dict()}
     if verdict.is_positive_definite:
-        inverse = cholesky_invert(a)
+        inverse = _invert_factor(upper)
         pattern = sign_of(inverse, args.tol_zero)
         feasibility = check_feasible(pattern)
         ambiguous = ambiguous_signs(inverse, args.tol_zero)

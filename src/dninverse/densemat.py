@@ -314,9 +314,15 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     factorization fails or a pivot falls at or below ``REL_PIVOT_FLOOR``
     times the largest diagonal entry.
     """
-    upper = _cholesky_factor(a)
+    return _invert_factor(_cholesky_factor(a))
+
+
+def _invert_factor(upper: np.ndarray) -> SymMatrix:
+    """The inverse U^-1 U^-T of the matrix whose upper Cholesky factor is ``upper``,
+    which is overwritten: the kernel of :func:`cholesky_invert`, for a caller
+    that already holds the factor."""
     uinv, info = _linalg().lapack.dtrtri(upper, lower=0, overwrite_c=1)
-    if info:  # a zero pivot of U, which the floor above already excludes
+    if info:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
     # an inverse beyond the float range is reported by the finiteness check
     # of _trusted as a ValueError, not also as numpy's overflow warning
@@ -388,14 +394,23 @@ def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> Dn
     Entries within the zero threshold of zero are treated as nonnegative, and
     irreducibility means the positive-entry graph is connected.
     """
+    return _dn_verdict(a, rel_tol, _factor_or_none(a) is not None)
+
+
+def _factor_or_none(a: SymMatrix) -> np.ndarray | None:
+    """The upper Cholesky factor of ``a``, or None where :func:`_cholesky_factor` refuses it."""
+    try:
+        return _cholesky_factor(a)
+    except NotPositiveDefinite:
+        return None
+
+
+def _dn_verdict(a: SymMatrix, rel_tol: float, positive_definite: bool) -> DnVerdict:
+    """:func:`verify_doubly_nonnegative` on a matrix whose Cholesky factorization
+    the caller has already tried, so that it can go on to invert the factor."""
     arr = a.entries
     tol = zero_threshold(arr, rel_tol)
     smallest = float(arr.min())
-    try:
-        _cholesky_factor(a)
-        positive_definite = True
-    except NotPositiveDefinite:
-        positive_definite = False
     return DnVerdict(
         is_symmetric=True,  # SymMatrix construction enforces symmetry
         is_entrywise_nonneg=smallest >= -tol,

@@ -10,8 +10,11 @@ write/read round trip is exact.
 Matrices are symmetric, so a matrix file spells every off-diagonal value
 twice. The writer formats each mirrored pair once and reuses the text below
 the diagonal; the reader parses a below-diagonal field only when its text
-differs from its mirror's. The bytes written and the floats read are those of
-converting every entry on its own.
+differs from its mirror's. It compares the mirrored part of a row as one
+string, the mirror texts joined by single spaces against the start of the
+line, and falls back to comparing field by field. A file whose every row is
+mirrored is symmetric bit for bit as read and is stored as read. The bytes
+written and the floats read are those of converting every entry on its own.
 
 The writer formats in bulk, a block of rows at a time: numpy computes each
 entry's 17-digit significand exactly, in double-double arithmetic, and lays
@@ -86,26 +89,39 @@ def read_matrix(path) -> SymMatrix:
 
     A row whose below-diagonal fields all read as the text of their mirrors is
     parsed from the diagonal on, and its lower part is copied from the mirror
-    column: the same text is the same float. Any other row is parsed in full,
-    and :class:`SymMatrix` symmetrizes or rejects what differs.
+    column: the same text is the same float. Row i is first compared as one
+    string, its first i fields against the mirror texts joined by single
+    spaces; a row spelled otherwise is split and compared field by field. Any
+    other row is parsed in full, and :class:`SymMatrix` symmetrizes or rejects
+    what differs. When every row is mirrored, the array is symmetric bit for
+    bit as assembled and is stored as read.
     """
     lines = _content_lines(path)
     _, n = _read_size(path, lines)
     rows = []  # row i as floats: all n, or from the diagonal on when mirrored
     # per earlier row, its texts right of the diagonal still to be compared, last column first
     pending = []
+    symmetric = True  # every row so far mirrored
     for i in range(n):
         try:
             line_no, text = next(lines)
         except StopIteration:
             raise ParseError(path, 0, f"expected {n} matrix rows, found {i}") from None
-        fields = text.split()
+        mirrors = list(map(list.pop, pending))
+        prefix = " ".join(mirrors)
+        # the line starts with the mirror texts, the last one ended by whitespace:
+        # then only the rest is split, and the mirrors are its first i fields
+        if text.startswith(prefix) and text[len(prefix) : len(prefix) + 1].isspace():
+            fields = mirrors + text[len(prefix) :].split()
+        else:
+            fields = text.split()
         if len(fields) != n:
             raise ParseError(
                 path, line_no, f"expected {n} entries in row {i + 1}, found {len(fields)}"
             )
-        mirrored = fields[:i] == list(map(list.pop, pending))
+        mirrored = fields[:i] == mirrors
         parsed = fields[i:] if mirrored else fields
+        symmetric = symmetric and mirrored
         try:
             rows.append(np.fromiter(map(float, parsed), float, len(parsed)))
         except ValueError:
@@ -119,7 +135,7 @@ def read_matrix(path) -> SymMatrix:
             arr[i, :i] = arr[:i, i]
     del rows  # before SymMatrix copies arr
     try:
-        return SymMatrix(arr)
+        return SymMatrix._trusted(arr) if symmetric else SymMatrix(arr)
     except (AsymmetricMatrix, ValueError) as exc:
         raise ParseError(path, 0, str(exc)) from None
 
@@ -193,7 +209,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     group = np.arange(10000, dtype=np.int64)
     places = np.array([[1000], [100], [10], [1]], dtype=np.int64)
     group_digits = (group // places % 10 + ord("0")).astype(np.uint8)
-    group_zeros = sum((group % 10**t == 0).astype(np.int64) for t in range(1, 5))
+    group_zeros = sum((group % 10**t == 0).astype(np.int32) for t in range(1, 5))
     for table in (pow10, group_digits, group_zeros):
         table.flags.writeable = False
     return pow10, group_digits, group_zeros
@@ -217,21 +233,23 @@ def _format_each(values: np.ndarray) -> list[bytes]:
     return [b"%.17g" % v for v in values.tolist()]
 
 
-def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``f"{v:.17g}"`` and a space for each of ``values`` into the rows
-    of ``out`` (uint8, C-contiguous, ``_WIDTH`` columns), NUL after the
-    space, and return the token lengths."""
-    m = values.size
+def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sign bit, 17-digit significand and decimal exponent (int32) of each of
+    ``values`` as "%.17g" spells it, and the mask of those left to Python.
+
+    A zero gets significand 0 and exponent 0. The scaling temporaries end
+    here, before the layout allocates its own.
+    """
     neg = np.signbit(values)
     a = np.abs(values)
     zero = a == 0.0
     fast = (a > _FAST_MIN) & (a < _FAST_MAX)
     a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
+    k = np.floor(np.log10(a)).astype(np.int32)
     whole, frac = _scaled(a, k)
     # log10 can miss k by one next to a power of ten; the scaled value decides.
     # Within the bound of a power of ten either k spells the same token.
-    shift = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+    shift = (whole >= 10**17).astype(np.int32) - (whole < 10**16)
     moved = np.flatnonzero(shift)
     if moved.size:
         k[moved] += shift[moved]
@@ -243,6 +261,15 @@ def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     k += carry
     sig[zero] = 0
     k[zero] = 0
+    return neg, sig, k, slow
+
+
+def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``f"{v:.17g}"`` and a space for each of ``values`` into the rows
+    of ``out`` (uint8, C-contiguous, ``_WIDTH`` columns), NUL after the
+    space, and return the token lengths."""
+    m = values.size
+    neg, sig, k, slow = _significands(values)
 
     # the 17 digits of sig, one array per place: a leading digit, then four
     # groups of four; kept counts them up to the last nonzero one (1 for zero)
@@ -250,9 +277,9 @@ def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     groups = []
     for _ in range(4):
         rest = sig // 10000
-        groups.insert(0, sig - rest * 10000)
+        groups.insert(0, (sig - rest * 10000).astype(np.int16))
         sig = rest
-    digits = [sig + ord("0")]
+    digits = [(sig + ord("0")).astype(np.uint8)]
     for group in groups:
         digits.extend(np.take(group_digits, group, axis=1))
     trailing = group_zeros[groups[3]]
@@ -267,7 +294,7 @@ def _format_tokens(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     point_after = np.where(exponent, 0, np.where(small, 17, k))
     shown = np.where(exponent | small, kept, np.maximum(kept, k + 1))
     point = shown > point_after + 1
-    start = np.arange(m) * _WIDTH  # of each row in the flat buffer
+    start = np.arange(m, dtype=np.int32) * _WIDTH  # of each row in the flat buffer
     first = start + neg + np.where(small, 1 - k, 0)  # of the first digit
     end = first + shown + point
     last = end + np.where(exponent, 4 + (np.abs(k) >= 100), 0)  # the separator

@@ -67,6 +67,8 @@ class SignMatrix:
     def from_rows(cls, rows: Sequence[str]) -> "SignMatrix":
         """Build from strings of '+' and '-' characters, one per row."""
         n = len(rows)
+        if n < 1:
+            raise ValueError("sign matrix must have at least one row")
         short = next((i for i, row in enumerate(rows) if len(row) != n), n)
         text = "".join(rows[:short])
         codes = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.int8)
@@ -77,7 +79,7 @@ class SignMatrix:
             raise ValueError(f"row {k // n + 1} has invalid character {text[k]!r}")
         if short < n:
             raise ValueError(f"row {short + 1} has {len(rows[short])} characters, expected {n}")
-        return cls(signs.reshape(n, n))
+        return cls._trusted(signs.reshape(n, n))  # a fresh int8 array of PLUS and MINUS only
 
     def to_rows(self) -> list[str]:
         n = self.n

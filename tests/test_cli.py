@@ -11,7 +11,20 @@ import numpy as np
 import pytest
 
 import dninverse
-from dninverse import cli, densemat, oracle, read_matrix, read_sign_matrix, verify_doubly_nonnegative
+from dninverse import (
+    SymMatrix,
+    ambiguous_signs,
+    cholesky_invert,
+    cli,
+    densemat,
+    oracle,
+    read_matrix,
+    read_sign_matrix,
+    sign_of,
+    signpattern,
+    verify_doubly_nonnegative,
+    write_matrix,
+)
 from dninverse.cli import main
 from dninverse.oracle import necessity_campaign
 
@@ -153,6 +166,63 @@ def test_verify_gives_a_verdict_on_entries_near_the_float_maximum(tmp_path, caps
     assert "matrix 2x2: NOT doubly nonnegative" in captured.out
     assert "irreducible: no" in captured.out
     assert captured.err == ""
+
+
+@pytest.fixture
+def dpotrf_calls(monkeypatch):
+    """The order of each matrix LAPACK dpotrf factors from now on."""
+    lapack = densemat._linalg().lapack
+    dpotrf = lapack.dpotrf
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return dpotrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpotrf", counting)
+    return calls
+
+
+def test_verify_factors_its_matrix_once(dpotrf_calls, capsys):
+    assert main(["verify", str(FIXTURES / "path3_matrix.txt")]) == 0
+    assert dpotrf_calls == [3]  # the verdict's factor is the one inverted
+
+
+def test_witness_factors_each_of_its_two_matrices_once(dpotrf_calls, tmp_path, capsys):
+    assert main(["witness", str(FIXTURES / "path3.signs"), "--out", str(tmp_path / "w.txt")]) == 0
+    assert dpotrf_calls == [3, 3]  # Q, then the witness A for its round trip and its verdict
+
+
+def test_witness_that_fails_to_factor_reports_the_factorization_error(monkeypatch, tmp_path, capsys):
+    # with this floor Q's smallest relative pivot (0.875) passes and its
+    # inverse's (7/9) does not
+    monkeypatch.setattr(densemat, "REL_PIVOT_FLOOR", 0.8)
+    pattern = read_sign_matrix(FIXTURES / "path3.signs")
+    a = densemat.cholesky_invert(signpattern.construct_witness(pattern))
+    with pytest.raises(densemat.NotPositiveDefinite) as expected:
+        densemat.cholesky_invert(a)
+    out = tmp_path / "w.txt"
+    assert main(["witness", str(FIXTURES / "path3.signs"), "--out", str(out), "--json"]) == 1
+    assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+    assert "at or below floor" in str(expected.value)
+    assert not out.exists()
+
+
+def test_verify_json_of_a_dense_300_matrix_equals_the_public_kernels(tmp_path, capsys):
+    rng = np.random.default_rng(300)
+    b = rng.random((300, 300))
+    path = tmp_path / "m.txt"
+    write_matrix(path, SymMatrix(b @ b.T + 300 * np.eye(300)))
+    a = read_matrix(path)
+    assert main(["verify", "--json", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with densemat.single_blas_thread():  # as main runs them: a thread count can move a last bit
+        inverse = cholesky_invert(a)
+        verdict = verify_doubly_nonnegative(a)
+    assert doc["inverse_pattern_rows"] == sign_of(inverse).to_rows()
+    assert doc["verdict"] == verdict.to_dict()
+    assert doc["ambiguous_entries"] == [list(pair) for pair in ambiguous_signs(inverse)]
+    assert "-" in "".join(doc["inverse_pattern_rows"])
 
 
 @pytest.mark.parametrize("verb", ["verify", "check"])
@@ -686,7 +756,7 @@ def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpre
         "        during.append(pool_counts())\n"
         "        return kernel(*args, **kwargs)\n"
         "    return wrapped\n"
-        "cli.cholesky_invert = recording(cli.cholesky_invert)\n"
+        "cli._invert_factor = recording(cli._invert_factor)\n"
         "densemat.min_eigenvalue = recording(densemat.min_eigenvalue)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['check', sys.argv[1]])]\n"

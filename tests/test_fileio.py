@@ -398,6 +398,80 @@ def test_matrix_reader_names_the_row_the_reference_names(tmp_path, text, line_no
         assert (info.value.line_no, info.value.reason) == (line_no, reason)
 
 
+def _constructor_calls(monkeypatch) -> list:
+    """One entry per call of the public SymMatrix constructor from now on."""
+    calls = []
+    init = SymMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymMatrix, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("gap", ["\t", "  ", " \t "], ids=["tab", "two-spaces", "space-tab-space"])
+def test_matrix_reader_reads_a_lower_half_spelled_with_other_gaps_as_mirrored(tmp_path, monkeypatch, gap):
+    path = tmp_path / "m.txt"
+    path.write_text(f"3\n4 1 0.5\n1{gap}4 2\n0.5{gap}2 4\n")
+    calls = _constructor_calls(monkeypatch)
+    assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
+    assert len(calls) == 1  # the reference's; read_matrix stores the mirrored file as read
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\n1 5 1\n5 1 2\n1 23 1\n",  # mirrors "1 2" against "1 23"
+        "3\n1 2 3\n2 1 4\n3 45 1\n",  # "3 4" against "3 45": asymmetric beyond tolerance
+        "2\n1 1\n1.0 1\n",  # "1" against "1.0": the same number, spelled otherwise
+        "2\n1 2\n2.5 1\n",
+    ],
+    ids=["prefix-of-second", "prefix-asymmetric", "prefix-same-value", "prefix-of-first"],
+)
+def test_matrix_reader_does_not_take_a_mirror_that_is_a_prefix_of_a_field(tmp_path, monkeypatch, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    calls = _constructor_calls(monkeypatch)
+    assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
+    assert len(calls) == 2  # the reference's and read_matrix's: the row with the prefix is not mirrored
+
+
+@pytest.mark.parametrize(
+    "row, found",
+    [("2", 1), ("2 1", 2), ("2 1 4 9", 4), ("2 1 4 9 9", 5), ("2\t1", 2), ("2  1 4 9", 4)],
+)
+def test_matrix_reader_counts_the_fields_after_a_matched_prefix(tmp_path, row, found):
+    path = tmp_path / "m.txt"
+    path.write_text(f"3\n1 2 3\n{row}\n3 4 1\n")
+    assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
+    assert _outcome(read_matrix, path) == (3, f"expected 3 entries in row 2, found {found}")
+
+
+def test_matrix_reader_keeps_an_all_mirrored_file_bit_for_bit(tmp_path, monkeypatch):
+    values = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+    n = len(values)
+    rng = np.random.default_rng(15)
+    a = np.array(values)[rng.integers(n, size=(n, n))]
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist()))
+    calls = _constructor_calls(monkeypatch)
+    assert _outcome(read_matrix, path) == a.view(np.int64).tolist()
+    assert _outcome(reference_read_matrix, path) == a.view(np.int64).tolist()
+    assert len(calls) == 1  # the reference's
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e309"])
+def test_matrix_reader_rejects_a_non_finite_entry_of_an_all_mirrored_file(tmp_path, bad):
+    path = tmp_path / "m.txt"
+    path.write_text(f"3\n1 {bad} 0\n{bad} 1 0\n0 0 1\n")
+    assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
+    assert _outcome(read_matrix, path) == (0, "matrix entries must be finite")
+
+
 def test_read_matrix_of_a_huge_size_allocates_only_the_rows_it_reads(tmp_path):
     n = 100_000
     path = tmp_path / "huge.txt"
@@ -429,21 +503,31 @@ def test_read_matrix_of_300_rows_peaks_below_5_mib(tmp_path):
     assert peak < 5 * 2**20
 
 
-def test_write_matrix_of_1000_rows_peaks_below_18_mib(tmp_path):
+def _peak_of_writing_1000_rows(path) -> int:
     # a random SPD matrix of the longest tokens: 17 digits and a three-digit
     # exponent, the off-diagonal ones half negative
     rng = np.random.default_rng(1000)
     b = rng.standard_normal((1000, 1000)) * 1e-60
     a = SymMatrix(b @ b.T)
     del b
-    path = tmp_path / "m.txt"
     tracemalloc.start()
     try:
         write_matrix(path, a)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_write_matrix_of_1000_rows_peaks_below_18_mib(tmp_path):
+    peak = _peak_of_writing_1000_rows(tmp_path / "m.txt")
     assert peak < 18 * 2**20  # the upper tokens take 11.9 MiB
+
+
+def test_write_matrix_of_1000_rows_frees_the_scaling_before_the_layout(tmp_path):
+    # 13.9 MiB: the tokens, their lengths and about 130 B per entry of one
+    # block; 14.6 MiB while the scaling temporaries lived through the layout
+    peak = _peak_of_writing_1000_rows(tmp_path / "m.txt")
+    assert peak < 14.25 * 2**20
 
 
 def test_sign_matrix_round_trip(tmp_path):

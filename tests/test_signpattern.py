@@ -75,6 +75,13 @@ def test_sign_matrix_rows_equal_reference_loops():
         assert SignMatrix.from_rows(rows) == _reference_from_rows(rows) == s
 
 
+def test_sign_matrix_from_rows_stores_its_checked_signs_read_only():
+    s = SignMatrix.from_rows(SPLIT_ROWS)
+    assert s.signs.dtype == np.int8
+    assert not s.signs.flags.writeable
+    assert s == SignMatrix(np.array([[44 - ord(c) for c in row] for row in SPLIT_ROWS]))
+
+
 @pytest.mark.parametrize(
     "rows",
     [["+-", "+"], ["+0", "0+"], ["+-", "-+", "++"], ["++", "+x", "+"], ["+\u00e9", "-+"], []],

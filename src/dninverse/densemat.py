@@ -152,13 +152,21 @@ def check_rel_tolerance(rel: float) -> float:
 
 
 def zero_threshold(values, rel: float = REL_TOL_ZERO) -> float:
-    """Absolute magnitude below which an entry of ``values`` counts as zero.
+    """Absolute magnitude up to which an entry of ``values`` counts as zero.
 
     Raises ValueError unless ``rel`` is finite and in [0, 1).
     """
     check_rel_tolerance(rel)
     arr = np.asarray(values, dtype=float)
     return rel * float(np.abs(arr).max())
+
+
+def _band_signs(values: np.ndarray, bound) -> np.ndarray:
+    """The package's one sign rule: a fresh int8 array, -1 below ``-bound``, +1 above
+    the absolute ``bound`` and 0 in the band ``[-bound, bound]``, -0.0 included."""
+    signs = (values > bound).view(np.int8)  # fresh bool arrays, viewed as int8
+    signs -= (values < -bound).view(np.int8)
+    return signs
 
 
 class SymMatrix:
@@ -369,7 +377,8 @@ def perron_eigenpair(
 
 
 def min_eigenvalue(a: SymMatrix) -> float:
-    """Smallest eigenvalue, from the LAPACK symmetric eigensolver."""
+    """Smallest eigenvalue, from the LAPACK symmetric eigensolver. Its last bits depend
+    on the BLAS thread count, so only inside :func:`single_blas_thread` do they match a verb's."""
     scipy_linalg = _linalg()
     try:
         vals = scipy_linalg.eigvalsh(
@@ -381,18 +390,18 @@ def min_eigenvalue(a: SymMatrix) -> float:
 
 
 def matrix_graph(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> UGraph:
-    """Graph with an edge wherever an off-diagonal entry exceeds the zero threshold."""
+    """Graph with an edge wherever an off-diagonal entry is above the zero band."""
     arr = a.entries
-    tol = zero_threshold(arr, rel_tol)
-    rows, cols = np.nonzero(np.triu(arr > tol, k=1))
+    above = _band_signs(arr, zero_threshold(arr, rel_tol)) > 0
+    rows, cols = np.nonzero(np.triu(above, k=1))
     return UGraph(a.n, np.column_stack((rows + 1, cols + 1)))
 
 
 def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> DnVerdict:
     """Check symmetry, entrywise nonnegativity, positive definiteness, irreducibility.
 
-    Entries within the zero threshold of zero are treated as nonnegative, and
-    irreducibility means the positive-entry graph is connected.
+    Entries inside the zero band are treated as nonnegative, and
+    irreducibility means the graph of the entries above the band is connected.
     """
     return _dn_verdict(a, rel_tol, _factor_or_none(a) is not None)
 
@@ -409,13 +418,13 @@ def _dn_verdict(a: SymMatrix, rel_tol: float, positive_definite: bool) -> DnVerd
     """:func:`verify_doubly_nonnegative` on a matrix whose Cholesky factorization
     the caller has already tried, so that it can go on to invert the factor."""
     arr = a.entries
-    tol = zero_threshold(arr, rel_tol)
+    signs = _band_signs(arr, zero_threshold(arr, rel_tol))
     smallest = float(arr.min())
     return DnVerdict(
         is_symmetric=True,  # SymMatrix construction enforces symmetry
-        is_entrywise_nonneg=smallest >= -tol,
+        is_entrywise_nonneg=bool((signs >= 0).all()),
         is_positive_definite=positive_definite,
-        is_irreducible=len(mask_components(arr > tol)) == 1,
+        is_irreducible=len(mask_components(signs > 0)) == 1,
         min_eigenvalue=min_eigenvalue(a),
-        worst_negative_entry=min(smallest, 0.0),
+        worst_negative_entry=smallest if smallest < 0.0 else 0.0,  # never -0.0
     )

@@ -3,11 +3,10 @@
 Small toolkit backing the matrix code: connectivity with a component
 certificate, BFS distances, and uniform random labeled trees. A graph is one
 sorted int edge array plus the package's only adjacency, per-vertex neighbour
-lists built on first use: the one BFS here, behind ``bfs_distances`` and the
-tree layout of ``treesign``, walks them, and so do the neighbour queries.
-``scipy.sparse.csgraph`` labels components on the edge array itself. The
-dense callers, which already hold an n x n boolean mask, skip the edge list:
-``mask_components`` walks the mask itself.
+lists built on first use: the one BFS here, behind ``connected_components``,
+``bfs_distances`` and the tree layout of ``treesign``, walks them, and so do
+the neighbour queries. The dense callers, which already hold an n x n
+boolean mask, skip the edge list: ``mask_components`` walks the mask itself.
 """
 
 from __future__ import annotations
@@ -173,20 +172,13 @@ class Connectivity(NamedTuple):
 
 def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    # imported here: scipy.sparse costs tens of milliseconds at import, and the
-    # tree verbs never test connectivity
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components as label_components
-
-    lo, hi = (g.edge_array - 1).T
-    # one direction per edge: weak connectivity of that directed graph is
-    # connectivity, without csgraph symmetrizing it
-    arcs = csr_array((np.ones(lo.size), (lo, hi)), shape=(g.n, g.n))
-    count, labels = label_components(arcs, directed=True, connection="weak")
-    members = np.argsort(labels, kind="stable") + 1  # grouped by label, ascending within
-    parts = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-    # disjoint sorted tuples compare by their first, smallest vertex
-    return tuple(sorted(tuple(part.tolist()) for part in parts))
+    depth = [-1] * (g.n + 1)  # shared by the walks, so each vertex is reached once
+    components = []
+    for v in range(1, g.n + 1):  # each unreached v is the minimum of its component
+        if depth[v] < 0:
+            order, _ = _bfs(g, v, depth)
+            components.append(tuple(sorted(order)))
+    return tuple(components)
 
 
 def mask_components(mask) -> tuple[tuple[int, ...], ...]:
@@ -231,11 +223,12 @@ def is_connected(g: UGraph) -> Connectivity:
     return Connectivity(len(components) == 1, components)
 
 
-def _bfs(g: UGraph, source: int) -> tuple[list[int], list[int]]:
-    """Breadth-first walk from ``source``: the reached vertices in visiting order,
-    and the depth of every vertex by vertex number (-1 when unreached)."""
+def _bfs(g: UGraph, source: int, depth: list | None = None) -> tuple[list, list]:
+    """Breadth-first walk from ``source``: the reached vertices in visiting order, and the
+    depth of every vertex by number (-1 when unreached), filled into ``depth`` if given."""
     adj = g._adjacency()
-    depth = [-1] * (g.n + 1)
+    if depth is None:
+        depth = [-1] * (g.n + 1)
     depth[source] = 0
     order = [source]
     for u in order:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import REL_TOL_ZERO, SymMatrix, cholesky_invert, zero_threshold
+from .densemat import REL_TOL_ZERO, SymMatrix, _band_signs, cholesky_invert, zero_threshold
 from .errors import AsymmetricSignMatrix, DimensionMismatch, TooLarge
 from .graphs import mask_components, random_tree
 from .signpattern import MINUS, PLUS, SignMatrix, sign_of
@@ -133,7 +133,8 @@ def random_dn_matrix(n: int, density: float, seed) -> SymMatrix:
         b *= rng.random((n, n)) < density  # b >= 0: dropped entries become +0.0
         arr = b @ b.T  # BLAS syrk mirrors one triangle: exactly symmetric
         arr.flat[:: n + 1] += ridge  # the ridge, on the diagonal only
-        if len(mask_components(arr > zero_threshold(arr))) == 1:
+        # at the fixed REL_TOL_ZERO: a seed's draws must not depend on the tolerance
+        if len(mask_components(_band_signs(arr, zero_threshold(arr)) > 0)) == 1:
             return SymMatrix._trusted(arr)
     raise RuntimeError(
         f"no irreducible draw of size {n} in {MAX_RESAMPLES} attempts "
@@ -257,17 +258,17 @@ def tree_sign_campaign(
         a = random_tree_dn_matrix(g, rng)
         inv = cholesky_invert(a).entries
         tol = zero_threshold(inv, rel_tol)
+        band = _band_signs(inv, tol)
         predicted = predict_tree_sign_pattern(g).signs
-        # +inv where PLUS is predicted and -inv where MINUS is: an entry
-        # contradicts its prediction exactly when it lies below -tol here
-        signed = inv * predicted
+        signed = inv * predicted  # +inv where PLUS is predicted and -inv where MINUS is
         minus_mask = predicted == MINUS
         plus_off = ~minus_mask
         plus_off.flat[:: n + 1] = False  # the diagonal is PLUS and tested on its own
         diagonal = inv.diagonal()
-        contradiction = bool((signed < -tol).any() or (diagonal <= 0.0).any())
+        # a contradiction: the band puts an entry on the other side of zero
+        contradiction = bool((band * predicted < 0).any() or (diagonal <= 0.0).any())
         ratio_report = _leaf_ratio_report(g, inv, tol)
-        in_band = np.abs(inv) <= tol
+        in_band = band == 0
         margins = {"min_diagonal_entry": float(diagonal.min())}
         # -max(inv) over MINUS is min(-inv) over MINUS: the same float
         if minus_mask.any():
@@ -314,9 +315,9 @@ def search_nonunique_complete(
     first_pattern = None
     for index in range(max_trials):
         a = random_dn_matrix(n, 1.0, rng)
-        # complete when every entry clears the zero band: the diagonal of a
-        # draw is at least its ridge, so only the off-diagonal entries can fail
-        if not (a.entries > zero_threshold(a.entries)).all():
+        # complete: every entry above the band, which is at the fixed REL_TOL_ZERO
+        # since a seed's draws must not depend on rel_tol; the ridge clears the diagonal
+        if not (_band_signs(a.entries, zero_threshold(a.entries)) > 0).all():
             continue
         pattern = sign_of(cholesky_invert(a), rel_tol)
         if first is None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
+from .densemat import REL_TOL_ZERO, SymMatrix, _band_signs, zero_threshold
 from .errors import AsymmetricSignMatrix, InfeasiblePattern
 from .graphs import UGraph, mask_components, random_tree
 
@@ -120,10 +120,8 @@ def sign_of(q: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> SignMatrix:
     ``[-tol, tol]`` therefore land on PLUS; :func:`ambiguous_signs` lists them.
     """
     arr = q.entries
-    tol = zero_threshold(arr, rel_tol)
-    signs = (arr < -tol).view(np.int8)  # 1 where MINUS
-    signs *= MINUS - PLUS
-    signs += PLUS
+    signs = _band_signs(arr, zero_threshold(arr, rel_tol))
+    signs[signs == 0] = PLUS
     return SignMatrix._trusted(signs)
 
 
@@ -132,8 +130,7 @@ def ambiguous_signs(
 ) -> list[tuple[int, int]]:
     """Positions (i, j), i <= j, whose magnitude falls inside the zero band."""
     arr = q.entries
-    tol = zero_threshold(arr, rel_tol)
-    rows, cols = np.nonzero(np.triu(np.abs(arr) <= tol))
+    rows, cols = np.nonzero(np.triu(_band_signs(arr, zero_threshold(arr, rel_tol)) == 0))
     return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -14,6 +15,7 @@ import dninverse
 from dninverse import (
     SymMatrix,
     ambiguous_signs,
+    check_feasible,
     cholesky_invert,
     cli,
     densemat,
@@ -223,6 +225,73 @@ def test_verify_json_of_a_dense_300_matrix_equals_the_public_kernels(tmp_path, c
     assert doc["verdict"] == verdict.to_dict()
     assert doc["ambiguous_entries"] == [list(pair) for pair in ambiguous_signs(inverse)]
     assert "-" in "".join(doc["inverse_pattern_rows"])
+
+
+def _verb_json(argv, capsys):
+    """Exit code and JSON document of one verb run with ``--json``."""
+    code = main([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_tol_zero_reaches_every_sign_decision_of_verify(capsys):
+    # at 0.5 the unit off-diagonal entries of the path matrix (max 2) and the
+    # -1/2 and 1/4 entries of its inverse (max 1) all fall inside the band
+    path = FIXTURES / "path3_matrix.txt"
+    a = read_matrix(path)
+    code, doc = _verb_json(["verify", str(path), "--tol-zero", "0.5"], capsys)
+    with densemat.single_blas_thread():  # as main runs them: a thread count can move a last bit
+        verdict = verify_doubly_nonnegative(a, rel_tol=0.5)
+        inverse = cholesky_invert(a)
+    pattern = sign_of(inverse, 0.5)
+    assert code == 1
+    assert doc["verdict"] == verdict.to_dict()
+    assert doc["inverse_pattern_rows"] == pattern.to_rows()
+    assert doc["inverse_pattern_feasible"] == check_feasible(pattern).to_dict()
+    assert doc["ambiguous_entries"] == [list(pair) for pair in ambiguous_signs(inverse, 0.5)]
+    # and none of it is what the default band gives
+    _, default = _verb_json(["verify", str(path)], capsys)
+    assert not doc["verdict"]["is_irreducible"] and default["verdict"]["is_irreducible"]
+    assert doc["inverse_pattern_rows"] == ["+++"] * 3 != default["inverse_pattern_rows"]
+    assert doc["ambiguous_entries"] == [[1, 2], [1, 3], [2, 3]] != default["ambiguous_entries"]
+
+
+def test_tol_zero_reaches_every_sign_decision_of_witness(tmp_path, capsys):
+    # the witness A of the path pattern is (1/21) [[8, 3, 1], [3, 9, 3], [1, 3, 8]]
+    # and its round trip Q has -1 off the diagonal and 3 on it: at 0.5 the
+    # band holds A's 3 and 1 entries and Q's -1 entries
+    pattern = read_sign_matrix(FIXTURES / "path3.signs")
+    argv = ["witness", str(FIXTURES / "path3.signs"), "--out", str(tmp_path / "w.txt")]
+    code, doc = _verb_json([*argv, "--tol-zero", "0.5"], capsys)
+    with densemat.single_blas_thread():
+        realizing = cholesky_invert(signpattern.construct_witness(pattern))
+        verdict = verify_doubly_nonnegative(realizing, rel_tol=0.5)
+        roundtrip = cholesky_invert(realizing)
+    assert code == 1
+    assert doc["verdict"] == verdict.to_dict()
+    assert doc["roundtrip_exact"] is (sign_of(roundtrip, 0.5) == pattern) is False
+    _, default = _verb_json(argv, capsys)
+    assert default["verdict"]["passed"] and default["roundtrip_exact"]
+    assert not doc["verdict"]["passed"]
+
+
+def test_tol_zero_reaches_the_necessity_campaign(capsys):
+    argv = ["fuzz", "--theorem", "1", "--trials", "6", "--seed", "3", "--n-min", "2", "--n-max", "12"]
+    code, doc = _verb_json([*argv, "--tol-zero", "0.5"], capsys)
+    with densemat.single_blas_thread():
+        report = necessity_campaign((2, 12), 6, 3, rel_tol=0.5)
+    assert code == (0 if report.passed else 1)
+    assert doc == report.to_dict()
+    _, default = _verb_json(argv, capsys)
+    assert doc != default
+
+
+def test_verify_reports_no_negative_zero_as_the_worst_negative_entry(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 -0\n-0 1\n")
+    assert main(["verify", str(path)]) == 1  # reducible
+    assert "(worst negative entry 0.000e+00)" in capsys.readouterr().out
+    _, doc = _verb_json(["verify", str(path)], capsys)
+    assert math.copysign(1.0, doc["verdict"]["worst_negative_entry"]) == 1.0
 
 
 @pytest.mark.parametrize("verb", ["verify", "check"])
@@ -608,15 +677,15 @@ def _fresh_python(code, *args, env=None):
 
 
 def test_importing_the_cli_leaves_scipy_sparse_unloaded():
-    # scipy.sparse is imported by the first connectivity test of a UGraph only;
-    # loading it with the CLI would cost every verb its import time and memory
+    # the package never imports scipy.sparse; loading it with the CLI would
+    # cost every verb its import time and memory
     code = "import sys, dninverse.cli; print('scipy.sparse' in sys.modules)"
     assert _fresh_python(code) == "False"
 
 
 def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
     # check, verify, witness and the necessity campaign test connectivity on
-    # the boolean mask they hold, never through an edge-list graph
+    # the boolean mask they hold, and nothing in the package loads scipy.sparse
     calls = [
         ["check", str(FIXTURES / "path3.signs")],
         ["check", str(FIXTURES / "infeasible_split.signs")],
@@ -632,6 +701,27 @@ def test_dense_verbs_leave_scipy_sparse_unloaded(tmp_path):
         "print(codes, 'scipy.sparse' in sys.modules)\n"
     )
     assert _fresh_python(code, json.dumps(calls)) == "[0, 1, 0, 0, 0] False"
+
+
+def test_the_tree_verbs_and_the_edge_list_connectivity_leave_scipy_sparse_unloaded():
+    # the dense verbs are covered above
+    calls = [
+        ["predict", str(FIXTURES / "path3.graph"), "--distances"],
+        ["fuzz", "--trials", "4", "--seed", "3", "--n-max", "12"],
+        ["search-nonunique", "--seed", "3", "--max-trials", "200"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dninverse import UGraph, connected_components, is_connected\n"
+        "from dninverse.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "g = UGraph(4, [(1, 2), (3, 4)])\n"
+        "print(codes, connected_components(g), is_connected(g).connected,\n"
+        "      'scipy.sparse' in sys.modules)\n"
+    )
+    expected = "[0, 0, 0] ((1, 2), (3, 4)) False False"
+    assert _fresh_python(code, json.dumps(calls)) == expected
 
 
 def test_importing_the_package_and_the_cli_leaves_scipy_unloaded():

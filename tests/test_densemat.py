@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
+from dninverse.densemat import _band_signs
 
 PATH3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
 PATH3_INVERSE = np.array([[3, -2, 1], [-2, 4, -2], [1, -2, 3]]) / 4.0
@@ -227,6 +229,45 @@ def test_matrix_graph_reads_positive_pattern():
     assert matrix_graph(SymMatrix.identity(3)).edges == ()
     assert matrix_graph(SymMatrix(PATH3)).edges == ((1, 2), (2, 3))
     assert matrix_graph(SymMatrix(np.ones((3, 3)))).edges == ((1, 2), (1, 3), (2, 3))
+
+
+def _off_diagonal(x):
+    """[[1, x], [x, 1]]: its band edge is ``zero_threshold`` of it, 1e-12 for |x| <= 1."""
+    return SymMatrix([[1.0, x], [x, 1.0]])
+
+
+def test_matrix_graph_and_irreducibility_at_the_band_edge():
+    bound = zero_threshold(_off_diagonal(0.0).entries)
+    assert bound == 1e-12
+    at_edge = _off_diagonal(bound)  # inside the band: no edge
+    assert matrix_graph(at_edge).edges == ()
+    assert not verify_doubly_nonnegative(at_edge).is_irreducible
+    past_edge = _off_diagonal(np.nextafter(bound, 1.0))
+    assert matrix_graph(past_edge).edges == ((1, 2),)
+    assert verify_doubly_nonnegative(past_edge).is_irreducible
+
+
+def test_nonnegativity_at_the_band_edge():
+    bound = zero_threshold(_off_diagonal(0.0).entries)
+    at_edge = verify_doubly_nonnegative(_off_diagonal(-bound))
+    assert at_edge.is_entrywise_nonneg
+    assert at_edge.worst_negative_entry == -bound
+    past_edge = verify_doubly_nonnegative(_off_diagonal(np.nextafter(-bound, -1.0)))
+    assert not past_edge.is_entrywise_nonneg
+    # -0.0 is in the band, and the worst negative entry is then 0.0, not -0.0
+    signed_zero = verify_doubly_nonnegative(_off_diagonal(-0.0))
+    assert signed_zero.is_entrywise_nonneg
+    assert math.copysign(1.0, signed_zero.worst_negative_entry) == 1.0
+
+
+def test_band_signs_classifies_below_inside_and_above_the_band():
+    values = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+    signs = _band_signs(values, 0.5)
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [-1, 0, 0, 0, 0, 0, 1]
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    signs = _band_signs(np.array([-tiny, -0.0, 0.0, tiny]), 0.0)
+    assert signs.tolist() == [-1, 0, 0, 1]  # at a zero bound both zeros are in the band
 
 
 def test_verify_doubly_nonnegative_accepts_textbook_case():

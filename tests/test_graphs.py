@@ -56,6 +56,15 @@ def test_ugraph_equality_and_hash():
 def test_connected_components_partition():
     g = UGraph(6, [(1, 2), (2, 3), (4, 5)])
     assert connected_components(g) == ((1, 2, 3), (4, 5), (6,))
+    # a component is sorted, though the walk from 1 visits 3 before 2
+    assert connected_components(UGraph(4, [(1, 3), (2, 3)])) == ((1, 2, 3), (4,))
+
+
+def test_connected_components_of_large_edgeless_and_tree_graphs():
+    # one depth list serves every walk, so 10^5 singletons take one pass
+    n = 100_000
+    assert connected_components(UGraph(n)) == tuple((v,) for v in range(1, n + 1))
+    assert connected_components(random_tree(n, 5)) == (tuple(range(1, n + 1)),)
 
 
 def test_is_connected_certificate():

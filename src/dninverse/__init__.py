@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it defines
 _EXPORTS = {
-    "densemat": """POWER_MAX_ITERS POWER_TOL REL_PIVOT_FLOOR REL_SYM_TOL
-        REL_TOL_RESIDUAL REL_TOL_ZERO DnVerdict EigenPair SymMatrix
-        cholesky_invert matrix_graph min_eigenvalue perron_eigenpair
-        verify_doubly_nonnegative zero_threshold""",
+    "densemat": """REL_PIVOT_FLOOR REL_SYM_TOL REL_TOL_RESIDUAL REL_TOL_ZERO
+        DnVerdict EigenPair SymMatrix cholesky_invert matrix_graph
+        min_eigenvalue perron_eigenpair verify_doubly_nonnegative
+        zero_threshold""",
     "errors": """AsymmetricMatrix AsymmetricSignMatrix DimensionMismatch
         DnInverseError InfeasiblePattern NotATree NotConverged
         NotPositiveDefinite SchurNotPositiveDefinite TooLarge""",

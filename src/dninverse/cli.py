@@ -26,8 +26,6 @@ import numpy as np
 from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
-    SymMatrix,
-    _cholesky_factor,
     _dn_verdict,
     _factor_or_none,
     _invert_factor,
@@ -130,7 +128,7 @@ def _cmd_witness(args) -> int:
     realizing = cholesky_invert(q)
     # one factor of the witness serves its round trip and its verdict; a
     # witness that fails to factor stops here, with the factorization's error
-    roundtrip = _invert_factor(_cholesky_factor(realizing))
+    roundtrip = cholesky_invert(realizing)
     verdict = _dn_verdict(realizing, args.tol_zero, positive_definite=True)
     exact = sign_of(roundtrip, args.tol_zero) == pattern
     identity = np.eye(pattern.n)

@@ -1,10 +1,11 @@
 """Dense symmetric matrix kernels.
 
 Construction with a symmetrization gate, Cholesky-based inversion (LAPACK
-``potrf`` + ``trtri``) with a pivot floor, extremal eigenvalues, and the
-doubly-nonnegative membership verdict. All tolerances are relative to the
-scale of the input and overridable at the call sites that classify entries.
-``scipy.linalg`` is imported by the first factorization, and
+``potrf`` + ``trtri``) with a pivot floor, the smallest eigenvalue and the
+Perron pair (one LAPACK ``eigh`` call site), and the doubly-nonnegative
+membership verdict. All tolerances are relative to the scale of the input and
+overridable at the call sites that classify entries. ``scipy.linalg`` is
+imported by the first factorization or eigenvalue call, and
 :func:`single_blas_thread` pins numpy's OpenBLAS pool and, as it loads,
 scipy's.
 """
@@ -28,8 +29,6 @@ REL_TOL_ZERO = 1e-12
 REL_PIVOT_FLOOR = 1e-12
 REL_TOL_RESIDUAL = 1e-9
 REL_SYM_TOL = 1e-12
-POWER_TOL = 1e-10
-POWER_MAX_ITERS = 10_000
 
 # numpy and scipy each bundle an OpenBLAS with its own thread pool:
 # (package, library file pattern, thread-count getter, setter)
@@ -347,46 +346,37 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def perron_eigenpair(
-    a: SymMatrix, tol: float = POWER_TOL, max_iters: int = POWER_MAX_ITERS
-) -> EigenPair:
-    """Dominant eigenpair by power iteration from the all-ones start vector.
+def perron_eigenpair(a: SymMatrix) -> EigenPair:
+    """Largest eigenvalue and its eigenvector, from the LAPACK symmetric eigensolver.
 
-    Intended for entrywise-nonnegative irreducible matrices with positive
-    diagonal, where the dominant eigenvalue is simple and its eigenvector can
-    be taken strictly positive. Convergence is declared when the residual
-    ``|A v - lambda v|`` drops to ``tol * max(1, |lambda|)``; after
-    ``max_iters`` sweeps :class:`NotConverged` is raised. The returned vector
-    has unit Euclidean norm and a positive first nonzero component.
+    Intended for entrywise-nonnegative irreducible matrices, where the largest
+    eigenvalue is the spectral radius, it is simple, and its eigenvector can be
+    taken strictly positive (Perron-Frobenius); a component within the
+    solver's rounding error of zero can still come out with either sign. The
+    returned vector has unit Euclidean norm and a positive first nonzero
+    component.
     """
-    arr = a.entries
-    v = np.ones(a.n) / np.sqrt(a.n)
-    for _ in range(max_iters):
-        w = arr @ v
-        lam = float(v @ w)
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol * max(1.0, abs(lam)):
-            return EigenPair(lam, _canonical_direction(v))
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            raise NotConverged("iteration vector was annihilated")
-        v = w / norm_w
-    raise NotConverged(
-        f"power iteration missed tolerance {tol:g} after {max_iters} sweeps"
-    )
+    values, vectors = _eigh(a, a.n - 1, eigvals_only=False)
+    return EigenPair(float(values[0]), _canonical_direction(vectors[:, 0]))
 
 
 def min_eigenvalue(a: SymMatrix) -> float:
     """Smallest eigenvalue, from the LAPACK symmetric eigensolver. Its last bits depend
     on the BLAS thread count, so only inside :func:`single_blas_thread` do they match a verb's."""
+    return float(_eigh(a, 0, eigvals_only=True)[0])
+
+
+def _eigh(a: SymMatrix, index: int, eigvals_only: bool):
+    """scipy's ``eigh`` for the one eigenvalue at ``index`` in ascending order, with its
+    eigenvector unless ``eigvals_only``; a LAPACK failure raises :class:`NotConverged`."""
     scipy_linalg = _linalg()
     try:
-        vals = scipy_linalg.eigvalsh(
-            a.entries, subset_by_index=(0, 0), check_finite=False
+        return scipy_linalg.eigh(
+            a.entries, eigvals_only=eigvals_only, subset_by_index=(index, index),
+            check_finite=False,
         )
     except scipy_linalg.LinAlgError as exc:
         raise NotConverged(f"symmetric eigensolver failed: {exc}") from exc
-    return float(vals[0])
 
 
 def matrix_graph(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> UGraph:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,7 +27,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
-from dninverse.densemat import _band_signs
+from dninverse.densemat import _band_signs, single_blas_thread
 
 PATH3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
 PATH3_INVERSE = np.array([[3, -2, 1], [-2, 4, -2], [1, -2, 3]]) / 4.0
@@ -195,10 +196,53 @@ def test_perron_vector_strictly_positive_on_dn_input():
         assert residual <= 1e-10 * max(1.0, pair.value)
 
 
-def test_perron_eigenpair_reports_nonconvergence():
-    # eigenvalues +1 and -1 tie in magnitude, so the iteration oscillates
-    with pytest.raises(NotConverged):
-        perron_eigenpair(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
+def _top_pair_of_numpy(a):
+    """numpy's (divide-and-conquer LAPACK) largest eigenpair, the vector summing positive."""
+    values, vectors = np.linalg.eigh(a.entries)
+    top = vectors[:, -1]
+    return values[-1], top if top.sum() > 0 else -top
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_perron_eigenpair_matches_a_dense_eigensolver_to_rounding(n):
+    # the vector's error itself, not the residual |Av - lambda v|: on these
+    # trees a residual of 1e-10 still leaves vectors up to 2e-9 off
+    cases = {
+        "tree": random_tree_dn_matrix(random_tree(n, seed=5), seed=5),
+        "dense": random_dn_matrix(n, 1.0, seed=5),
+    }
+    for kind, a in cases.items():
+        pair = perron_eigenpair(a)
+        value, vector = _top_pair_of_numpy(a)
+        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-14), kind
+        assert np.abs(pair.vector - vector).max() <= 1e-12, kind
+        assert abs(pair.value - value) <= 1e-14 * value, kind
+
+
+def test_perron_eigenpair_is_the_largest_eigenvalue_not_the_largest_in_magnitude():
+    pair = perron_eigenpair(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
+    assert pair.value == 1.0
+    np.testing.assert_array_equal(pair.vector, [1.0, 0.0])
+    flipped = perron_eigenpair(SymMatrix([[-1.0, 0.0], [0.0, 1.0]]))
+    np.testing.assert_array_equal(flipped.vector, [0.0, 1.0])
+
+
+def test_a_failing_eigensolver_raises_not_converged_for_both_eigen_kernels(monkeypatch):
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(NotConverged, match="symmetric eigensolver failed: no convergence"):
+        perron_eigenpair(a)
+    with pytest.raises(NotConverged, match="symmetric eigensolver failed: no convergence"):
+        min_eigenvalue(a)
+
+
+def test_min_eigenvalue_is_scipys_eigvalsh_bit_for_bit():
+    a = random_dn_matrix(300, 1.0, seed=7)
+    with single_blas_thread():
+        assert min_eigenvalue(a) == scipy.linalg.eigvalsh(a.entries, subset_by_index=(0, 0))[0]
 
 
 def test_min_eigenvalue_hand_cases():

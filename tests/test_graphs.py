@@ -377,7 +377,7 @@ def _symmetric_masks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_symmetric_masks())
-def test_mask_components_match_csgraph_and_set_based_reference(mask):
+def test_mask_components_and_connected_components_match_a_set_based_reference(mask):
     n = mask.shape[0]
     rows, cols = np.nonzero(np.triu(mask, k=1))
     edges = list(zip((rows + 1).tolist(), (cols + 1).tolist()))

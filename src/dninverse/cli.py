@@ -27,13 +27,11 @@ from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
     _dn_verdict,
-    _factor_or_none,
-    _invert_factor,
     check_rel_tolerance,
     cholesky_invert,
     single_blas_thread,
 )
-from .errors import DnInverseError
+from .errors import DnInverseError, NotPositiveDefinite
 from .fileio import (
     ParseError,
     read_graph,
@@ -195,8 +193,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = read_matrix(args.matrix)
-    upper = _factor_or_none(a)  # decides positive definiteness, then gives the inverse
-    verdict = _dn_verdict(a, args.tol_zero, upper is not None)
+    try:  # one factorization decides positive definiteness and gives the inverse
+        inverse = cholesky_invert(a)
+    except NotPositiveDefinite:
+        inverse = None
+    verdict = _dn_verdict(a, args.tol_zero, inverse is not None)
     lines = _tolerance_header(args) + [
         f"matrix {a.n}x{a.n}: "
         + ("doubly nonnegative" if verdict.passed else "NOT doubly nonnegative"),
@@ -207,8 +208,7 @@ def _cmd_verify(args) -> int:
         f"  irreducible: {'yes' if verdict.is_irreducible else 'no'}",
     ]
     document = {"n": a.n, "verdict": verdict.to_dict()}
-    if verdict.is_positive_definite:
-        inverse = _invert_factor(upper)
+    if inverse is not None:
         pattern = sign_of(inverse, args.tol_zero)
         feasibility = check_feasible(pattern)
         ambiguous = ambiguous_signs(inverse, args.tol_zero)

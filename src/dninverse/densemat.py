@@ -171,7 +171,7 @@ def _band_signs(values: np.ndarray, bound) -> np.ndarray:
 class SymMatrix:
     """Dense real symmetric matrix, immutable after construction.
 
-    Input from outside the package whose asymmetry stays within ``rel_sym_tol``
+    Input from outside the package whose asymmetry stays within ``REL_SYM_TOL``
     times the largest entry magnitude is symmetrized: each entry that differs
     from its mirror becomes (M + M^T)/2 and the others are kept as given.
     Anything worse is rejected with :class:`AsymmetricMatrix`. Matrices the package
@@ -180,7 +180,7 @@ class SymMatrix:
 
     __slots__ = ("_arr",)
 
-    def __init__(self, entries, rel_sym_tol: float = REL_SYM_TOL) -> None:
+    def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -190,10 +190,10 @@ class SymMatrix:
             raise ValueError("matrix entries must be finite")
         scale = float(np.abs(arr).max())
         asym = float(np.abs(arr - arr.T).max())
-        if asym > rel_sym_tol * scale:
+        if asym > REL_SYM_TOL * scale:
             raise AsymmetricMatrix(
-                f"asymmetry {asym:.3e} exceeds {rel_sym_tol:g} * max|entry| = "
-                f"{rel_sym_tol * scale:.3e}"
+                f"asymmetry {asym:.3e} exceeds {REL_SYM_TOL:g} * max|entry| = "
+                f"{REL_SYM_TOL * scale:.3e}"
             )
         # Entries equal to their mirror bit for bit are kept as given; the rest
         # are averaged as halves: no overflow near the float maximum, exact
@@ -319,16 +319,11 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     ``x @ x.T`` through BLAS ``syrk`` and mirrors one triangle, so the result
     is exactly symmetric. Raises :class:`NotPositiveDefinite` when
     factorization fails or a pivot falls at or below ``REL_PIVOT_FLOOR``
-    times the largest diagonal entry.
+    times the largest diagonal entry: a caller that wants both the
+    positive-definiteness verdict and the inverse catches that error and
+    factors once. An inverse beyond the float range raises ValueError.
     """
-    return _invert_factor(_cholesky_factor(a))
-
-
-def _invert_factor(upper: np.ndarray) -> SymMatrix:
-    """The inverse U^-1 U^-T of the matrix whose upper Cholesky factor is ``upper``,
-    which is overwritten: the kernel of :func:`cholesky_invert`, for a caller
-    that already holds the factor."""
-    uinv, info = _linalg().lapack.dtrtri(upper, lower=0, overwrite_c=1)
+    uinv, info = _linalg().lapack.dtrtri(_cholesky_factor(a), lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
     # an inverse beyond the float range is reported by the finiteness check
@@ -392,21 +387,19 @@ def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> Dn
 
     Entries inside the zero band are treated as nonnegative, and
     irreducibility means the graph of the entries above the band is connected.
+    Positive definiteness is whether the Cholesky factorization of
+    :func:`cholesky_invert` succeeds, pivot floor included.
     """
-    return _dn_verdict(a, rel_tol, _factor_or_none(a) is not None)
-
-
-def _factor_or_none(a: SymMatrix) -> np.ndarray | None:
-    """The upper Cholesky factor of ``a``, or None where :func:`_cholesky_factor` refuses it."""
     try:
-        return _cholesky_factor(a)
+        _cholesky_factor(a)
     except NotPositiveDefinite:
-        return None
+        return _dn_verdict(a, rel_tol, False)
+    return _dn_verdict(a, rel_tol, True)
 
 
 def _dn_verdict(a: SymMatrix, rel_tol: float, positive_definite: bool) -> DnVerdict:
     """:func:`verify_doubly_nonnegative` on a matrix whose Cholesky factorization
-    the caller has already tried, so that it can go on to invert the factor."""
+    the caller has already tried, by calling :func:`cholesky_invert` on it."""
     arr = a.entries
     signs = _band_signs(arr, zero_threshold(arr, rel_tol))
     smallest = float(arr.min())

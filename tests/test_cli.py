@@ -834,6 +834,8 @@ def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpre
     # verify loads it inside the pin: the pin must take that pool on as it
     # loads, or verify factors with scipy's pool at its old count; and the
     # pools found by the check before it must not be kept as the final set.
+    # The counts are read as each LAPACK entry's _linalg() returns, so the
+    # call that loads scipy is seen after the pin has taken its pool on.
     code = _POOL_COUNTS + (
         "import contextlib, io, json\n"
         "from dninverse import cli, densemat\n"
@@ -841,13 +843,13 @@ def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpre
         "    print(json.dumps(None))\n"
         "    raise SystemExit\n"
         "during = []\n"
-        "def recording(kernel):\n"
-        "    def wrapped(*args, **kwargs):\n"
+        "def recording(linalg):\n"
+        "    def wrapped():\n"
+        "        module = linalg()\n"
         "        during.append(pool_counts())\n"
-        "        return kernel(*args, **kwargs)\n"
+        "        return module\n"
         "    return wrapped\n"
-        "cli._invert_factor = recording(cli._invert_factor)\n"
-        "densemat.min_eigenvalue = recording(densemat.min_eigenvalue)\n"
+        "densemat._linalg = recording(densemat._linalg)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['check', sys.argv[1]])]\n"
         "    before = pool_counts()\n"
@@ -864,7 +866,7 @@ def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpre
         pytest.skip("OpenBLAS starts fewer than two threads on this machine")
     assert seen["codes"] == [0, 0]
     assert seen["before"] == [2, None]  # scipy's OpenBLAS is loaded by the second main
-    assert len(seen["during"]) == 2  # the inverse and the eigenvalue
+    assert len(seen["during"]) == 3  # every LAPACK entry: dpotrf, dtrtri and eigh
     assert all(counts == [1, 1] for counts in seen["during"]), seen["during"]
     assert seen["after"] == [2, 2]
 

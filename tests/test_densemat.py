@@ -394,7 +394,7 @@ def test_trusted_constructor_is_bit_identical_to_the_public_one(monkeypatch):
 
 def test_every_producer_builds_an_exactly_symmetric_matrix(monkeypatch):
     # no producer may lean on the public constructor's symmetrization
-    def public_constructor(self, entries, rel_sym_tol=None):
+    def public_constructor(self, entries):
         raise AssertionError("a producer called the public SymMatrix constructor")
 
     monkeypatch.setattr(SymMatrix, "__init__", public_constructor)

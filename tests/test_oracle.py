@@ -13,6 +13,7 @@ from dninverse import (
     all_bipartitions,
     bipartition_crossing_oracle,
     cholesky_invert,
+    connected_components,
     is_connected,
     matrix_graph,
     necessity_campaign,
@@ -32,7 +33,7 @@ from dninverse import (
     zero_threshold,
 )
 
-from dninverse.oracle import RIDGE_FACTOR
+from dninverse.oracle import DENSITY_RANGE, RIDGE_FACTOR, _run_trials
 
 SPLIT = SignMatrix.from_rows(["+-++", "-+++", "+++-", "++-+"])
 
@@ -182,6 +183,39 @@ def test_necessity_campaign_empty_run():
 
 def test_necessity_campaign_fixed_density():
     assert necessity_campaign((2, 6), 25, seed=8, density=0.5).passed
+
+
+def _reference_necessity_trial(rel_tol):
+    """The necessity trial classified through the pattern API: sign_of, then
+    its MINUS entries, its symmetry and its all-PLUS diagonal."""
+
+    def trial(rng, n):
+        dens = float(rng.uniform(*DENSITY_RANGE))
+        a_inv = cholesky_invert(random_dn_matrix(n, dens, rng))
+        inv = a_inv.entries
+        pattern = sign_of(a_inv, rel_tol)
+        minus = pattern.signs == MINUS
+        passed = (
+            pattern.is_symmetric
+            and bool((pattern.signs.diagonal() == PLUS).all())
+            and len(connected_components(negative_sign_graph(pattern))) == 1
+        )
+        margins = {"min_diagonal_entry": float(inv.diagonal().min())}
+        if minus.any():
+            margins["min_minus_magnitude"] = -float(inv[minus].max())
+        return passed, margins
+
+    return trial
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-3, 0.05, 0.5])
+def test_necessity_campaign_matches_a_trial_classified_through_the_pattern_api(rel_tol):
+    # wide bands put whole MINUS pairs on PLUS and disconnect the negative-sign
+    # graph, so the failing path is compared as well as the passing one
+    for n_range, trials in (((2, 40), 12), ((100, 140), 3)):
+        report = necessity_campaign(n_range, trials, seed=5, rel_tol=rel_tol)
+        reference = _run_trials(n_range, trials, 5, _reference_necessity_trial(rel_tol))
+        assert report.to_dict() == reference.to_dict()
 
 
 def test_necessity_campaign_validates_range():

@@ -125,3 +125,34 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# (defining module, private name) -> the modules allowed to import it: the
+# package's only reaches across a module boundary
+PRIVATE_IMPORTS = {
+    ("densemat", "_band_signs"): {"oracle", "signpattern"},
+    ("densemat", "_dn_verdict"): {"cli"},
+    ("treesign", "_leaf_ratio_report"): {"oracle"},
+    ("graphs", "_bfs"): {"treesign"},
+    ("signpattern", "_sign_text"): {"treesign"},
+}
+
+
+def _private_imports(path: pathlib.Path) -> list[tuple[str, str]]:
+    """Each (module, name) pair the module imports from a sibling, at any depth,
+    where the name starts with an underscore."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_a_private_name_crosses_a_module_boundary_only_where_the_allow_list_says():
+    made = {(*pair, path.stem) for path in MODULES for pair in _private_imports(path)}
+    allowed = {(*pair, importer) for pair, importers in PRIVATE_IMPORTS.items() for importer in importers}
+    assert made - allowed == set()  # an import the list does not allow
+    assert allowed - made == set()  # an entry no module needs any more

@@ -26,12 +26,12 @@ import numpy as np
 from .densemat import (
     REL_TOL_RESIDUAL,
     REL_TOL_ZERO,
-    _dn_verdict,
     check_rel_tolerance,
     cholesky_invert,
     single_blas_thread,
+    verify_doubly_nonnegative,
 )
-from .errors import DnInverseError, NotPositiveDefinite
+from .errors import DnInverseError, InfeasiblePattern
 from .fileio import (
     ParseError,
     read_graph,
@@ -114,20 +114,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_witness(args) -> int:
     pattern = read_sign_matrix(args.pattern)
-    report = check_feasible(pattern)
-    if not report.feasible:
+    try:
+        q = construct_witness(pattern)
+    except InfeasiblePattern:
         _emit(
             args,
-            {"n": pattern.n, **report.to_dict()},
+            {"n": pattern.n, **check_feasible(pattern).to_dict()},
             [f"pattern {pattern.n}x{pattern.n}: INFEASIBLE, no witness exists"],
         )
         return 1
-    q = construct_witness(pattern)
     realizing = cholesky_invert(q)
-    # one factor of the witness serves its round trip and its verdict; a
-    # witness that fails to factor stops here, with the factorization's error
-    roundtrip = cholesky_invert(realizing)
-    verdict = _dn_verdict(realizing, args.tol_zero, positive_definite=True)
+    roundtrip = cholesky_invert(realizing)  # a witness that fails to factor stops here
+    verdict = verify_doubly_nonnegative(realizing, args.tol_zero)
     exact = sign_of(roundtrip, args.tol_zero) == pattern
     identity = np.eye(pattern.n)
     residual = max(
@@ -193,11 +191,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = read_matrix(args.matrix)
-    try:  # one factorization decides positive definiteness and gives the inverse
-        inverse = cholesky_invert(a)
-    except NotPositiveDefinite:
-        inverse = None
-    verdict = _dn_verdict(a, args.tol_zero, inverse is not None)
+    verdict = verify_doubly_nonnegative(a, args.tol_zero)
     lines = _tolerance_header(args) + [
         f"matrix {a.n}x{a.n}: "
         + ("doubly nonnegative" if verdict.passed else "NOT doubly nonnegative"),
@@ -208,7 +202,8 @@ def _cmd_verify(args) -> int:
         f"  irreducible: {'yes' if verdict.is_irreducible else 'no'}",
     ]
     document = {"n": a.n, "verdict": verdict.to_dict()}
-    if inverse is not None:
+    if verdict.is_positive_definite:
+        inverse = cholesky_invert(a)  # the inverse the verdict formed
         pattern = sign_of(inverse, args.tol_zero)
         feasibility = check_feasible(pattern)
         ambiguous = ambiguous_signs(inverse, args.tol_zero)

@@ -176,9 +176,10 @@ class SymMatrix:
     from its mirror becomes (M + M^T)/2 and the others are kept as given.
     Anything worse is rejected with :class:`AsymmetricMatrix`. Matrices the package
     computes are exactly symmetric as built and are stored by :meth:`_trusted`.
+    The inverse that :func:`cholesky_invert` forms is kept in ``_inverse``.
     """
 
-    __slots__ = ("_arr",)
+    __slots__ = ("_arr", "_inverse")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
@@ -203,6 +204,7 @@ class SymMatrix:
         np.copyto(arr, half + half.T, where=bits != bits.T)
         arr.setflags(write=False)
         self._arr = arr
+        self._inverse = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SymMatrix":
@@ -218,6 +220,7 @@ class SymMatrix:
         arr.setflags(write=False)
         matrix = object.__new__(cls)
         matrix._arr = arr
+        matrix._inverse = None
         return matrix
 
     @classmethod
@@ -319,10 +322,13 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     ``x @ x.T`` through BLAS ``syrk`` and mirrors one triangle, so the result
     is exactly symmetric. Raises :class:`NotPositiveDefinite` when
     factorization fails or a pivot falls at or below ``REL_PIVOT_FLOOR``
-    times the largest diagonal entry: a caller that wants both the
-    positive-definiteness verdict and the inverse catches that error and
-    factors once. An inverse beyond the float range raises ValueError.
+    times the largest diagonal entry. An inverse beyond the float range
+    raises ValueError. The first inverse of ``a`` is kept on it and returned
+    by every later call, so a matrix is factored once however many callers
+    ask; a failure is not kept, and raises again on the next call.
     """
+    if a._inverse is not None:
+        return a._inverse
     uinv, info = _linalg().lapack.dtrtri(_cholesky_factor(a), lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
@@ -330,7 +336,9 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     # of _trusted as a ValueError, not also as numpy's overflow warning
     with np.errstate(over="ignore"):
         product = uinv @ uinv.T
-    return SymMatrix._trusted(product)
+    # the inverse does not point back at a: no reference cycle
+    a._inverse = SymMatrix._trusted(product)
+    return a._inverse
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:
@@ -387,19 +395,15 @@ def verify_doubly_nonnegative(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> Dn
 
     Entries inside the zero band are treated as nonnegative, and
     irreducibility means the graph of the entries above the band is connected.
-    Positive definiteness is whether the Cholesky factorization of
-    :func:`cholesky_invert` succeeds, pivot floor included.
+    Positive definiteness is whether :func:`cholesky_invert` succeeds, pivot
+    floor included; its inverse stays on ``a`` for a later call to return. An
+    inverse beyond the float range raises its ValueError here too.
     """
     try:
-        _cholesky_factor(a)
+        cholesky_invert(a)
+        positive_definite = True
     except NotPositiveDefinite:
-        return _dn_verdict(a, rel_tol, False)
-    return _dn_verdict(a, rel_tol, True)
-
-
-def _dn_verdict(a: SymMatrix, rel_tol: float, positive_definite: bool) -> DnVerdict:
-    """:func:`verify_doubly_nonnegative` on a matrix whose Cholesky factorization
-    the caller has already tried, by calling :func:`cholesky_invert` on it."""
+        positive_definite = False
     arr = a.entries
     signs = _band_signs(arr, zero_threshold(arr, rel_tol))
     smallest = float(arr.min())

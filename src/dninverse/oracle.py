@@ -19,7 +19,7 @@ from .graphs import mask_components, random_tree
 from .signpattern import MINUS, SignMatrix, sign_of
 from .treesign import (
     TOL_RATIO,
-    _leaf_ratio_report,
+    leaf_ratio_check,
     predict_tree_sign_pattern,
     random_tree_dn_matrix,
 )
@@ -61,17 +61,15 @@ def all_bipartitions(n: int):
         yield Bipartition(frozenset(range(1, n + 1)) - side_two, side_two)
 
 
-def bipartition_crossing_oracle(
-    s: SignMatrix, max_vertices: int = MAX_ORACLE_VERTICES
-) -> bool:
+def bipartition_crossing_oracle(s: SignMatrix) -> bool:
     """Exhaustively test whether every nontrivial bipartition has a MINUS crossing.
 
     This is connectivity of the negative-sign graph, re-derived by enumerating
     all 2^(n-1) - 1 splits instead of traversing the graph. Sizes above
-    ``max_vertices`` are rejected with :class:`TooLarge`.
+    ``MAX_ORACLE_VERTICES`` are rejected with :class:`TooLarge`.
     """
-    if s.n > max_vertices:
-        raise TooLarge(f"{s.n} vertices exceeds the enumeration cap {max_vertices}")
+    if s.n > MAX_ORACLE_VERTICES:
+        raise TooLarge(f"{s.n} vertices exceeds the enumeration cap {MAX_ORACLE_VERTICES}")
     if not s.is_symmetric:
         raise AsymmetricSignMatrix("crossing oracle requires a symmetric pattern")
     n = s.n
@@ -254,7 +252,8 @@ def tree_sign_campaign(
     def trial(rng, n):
         g = random_tree(n, rng)
         a = random_tree_dn_matrix(g, rng)
-        inv = cholesky_invert(a).entries
+        inverse = cholesky_invert(a)
+        inv = inverse.entries
         tol = zero_threshold(inv, rel_tol)
         predicted = predict_tree_sign_pattern(g).signs
         signed = inv * predicted  # +inv where PLUS is predicted and -inv where MINUS is
@@ -266,7 +265,7 @@ def tree_sign_campaign(
         plus_off.flat[:: n + 1] = False  # the diagonal is PLUS and tested on its own
         diagonal = inv.diagonal()
         contradiction = bool((agreement < 0).any() or (diagonal <= 0.0).any())
-        ratio_report = _leaf_ratio_report(g, inv, tol)
+        ratio_report = leaf_ratio_check(a, inverse, g, rel_tol=rel_tol)
         in_band = agreement == 0
         margins = {"min_diagonal_entry": float(diagonal.min())}
         # -max(inv) over MINUS is min(-inv) over MINUS: the same float

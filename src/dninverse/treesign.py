@@ -251,7 +251,6 @@ def leaf_ratio_check(
     a: SymMatrix,
     a_inverse: SymMatrix,
     g: UGraph,
-    tol_ratio: float = TOL_RATIO,
     rel_tol: float = REL_TOL_ZERO,
 ) -> LeafRatioReport:
     """Verify that leaf columns of the inverse are negative multiples of their
@@ -259,33 +258,23 @@ def leaf_ratio_check(
 
     For each leaf v with neighbor p, the rows j outside {v, p} must satisfy
     inverse[j][v] = kappa * inverse[j][p] for one negative constant kappa,
-    within ``tol_ratio`` relative deviation. Row pairs whose two entries are
+    within ``TOL_RATIO`` relative deviation. Row pairs whose two entries are
     both smaller in magnitude than RATIO_SKIP_FACTOR times the zero threshold
     are skipped as numerically uninformative; leaves with no comparable rows
     (the 2 x 2 case) contribute nothing.
     """
-    _require_tree(g)
+    layout = _require_tree(g)
     if a.n != g.n or a_inverse.n != g.n:
         raise DimensionMismatch(
             f"matrix sizes {a.n}, {a_inverse.n} do not match graph size {g.n}"
         )
     inv = a_inverse.entries
-    return _leaf_ratio_report(g, inv, zero_threshold(inv, rel_tol), tol_ratio)
-
-
-def _leaf_ratio_report(
-    g: UGraph, inv: np.ndarray, tol: float, tol_ratio: float = TOL_RATIO
-) -> LeafRatioReport:
-    """:func:`leaf_ratio_check` on a validated tree ``g`` and the entries ``inv``
-    of an n x n inverse, given the zero threshold ``tol`` of ``inv``.
-    """
+    floor = RATIO_SKIP_FACTOR * zero_threshold(inv, rel_tol)
     if g.n < 3:
         return LeafRatioReport((), ())
     # one row per leaf: the leaf's inverse column against its neighbor's, read
     # as rows since the inverse is exactly symmetric, compared on every entry
     # except those two
-    layout = _require_tree(g)
-    floor = RATIO_SKIP_FACTOR * tol
     leaves, nbrs = layout.leaves, layout.leaf_nbrs
     rows = np.arange(leaves.size)
     x = inv[leaves]
@@ -328,9 +317,9 @@ def _leaf_ratio_report(
         ratios.append(LeafRatio(v, p, ratio, dev, count, skipped))
         if ratio >= 0.0:
             violations.append(f"leaf {v}: ratio {ratio:g} is not negative")
-        if dev > tol_ratio:
+        if dev > TOL_RATIO:
             violations.append(
-                f"leaf {v}: relative deviation {dev:.3e} exceeds {tol_ratio:g}"
+                f"leaf {v}: relative deviation {dev:.3e} exceeds {TOL_RATIO:g}"
             )
     return LeafRatioReport(tuple(ratios), tuple(violations))
 

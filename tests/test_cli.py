@@ -170,21 +170,6 @@ def test_verify_gives_a_verdict_on_entries_near_the_float_maximum(tmp_path, caps
     assert captured.err == ""
 
 
-@pytest.fixture
-def dpotrf_calls(monkeypatch):
-    """The order of each matrix LAPACK dpotrf factors from now on."""
-    lapack = densemat._linalg().lapack
-    dpotrf = lapack.dpotrf
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape[0])
-        return dpotrf(a, *args, **kwargs)
-
-    monkeypatch.setattr(lapack, "dpotrf", counting)
-    return calls
-
-
 def test_verify_factors_its_matrix_once(dpotrf_calls, capsys):
     assert main(["verify", str(FIXTURES / "path3_matrix.txt")]) == 0
     assert dpotrf_calls == [3]  # the verdict's factor is the one inverted

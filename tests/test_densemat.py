@@ -174,6 +174,49 @@ def test_kernels_reject_an_inverse_that_overflows():
         SymMatrix._trusted(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_cholesky_invert_returns_the_inverse_it_formed_first(dpotrf_calls):
+    a = SymMatrix(PATH3)
+    inverse = cholesky_invert(a)
+    assert cholesky_invert(a) is inverse
+    assert dpotrf_calls == [3]
+    assert inverse._inverse is None  # no reference back to a, so no cycle
+    assert a == SymMatrix(PATH3) and SymMatrix(PATH3) == a  # == ignores the memo
+    assert cholesky_invert(inverse) is not a  # a new matrix, factored on its own
+    assert dpotrf_calls == [3, 3]
+
+
+@pytest.mark.parametrize("verdict_first", [True, False], ids=["verdict-first", "inverse-first"])
+def test_the_verdict_and_the_inverse_share_one_factorization(dpotrf_calls, verdict_first):
+    a = SymMatrix(PATH3)
+    if verdict_first:
+        assert verify_doubly_nonnegative(a).is_positive_definite
+        inverse = cholesky_invert(a)
+    else:
+        inverse = cholesky_invert(a)
+        assert verify_doubly_nonnegative(a).is_positive_definite
+    np.testing.assert_allclose(inverse.entries, PATH3_INVERSE, atol=1e-15)
+    assert dpotrf_calls == [3]
+
+
+def test_a_failed_factorization_is_not_kept(dpotrf_calls):
+    a = SymMatrix([[1.0, 2.0], [2.0, 1.0]])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky_invert(a)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert dpotrf_calls == [2, 2]
+    assert not verify_doubly_nonnegative(a).is_positive_definite
+    assert dpotrf_calls == [2, 2, 2]
+
+
+def test_the_verdict_of_a_matrix_whose_inverse_overflows_raises():
+    # the verdict forms the inverse, so it meets the overflow that verify exits 2 on
+    with pytest.raises(ValueError, match="finite"):
+        verify_doubly_nonnegative(SymMatrix([[5e-324]]))
+
+
 def test_perron_eigenpair_hand_cases():
     pair = perron_eigenpair(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
     assert pair.value == pytest.approx(3.0, abs=1e-10)

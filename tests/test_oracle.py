@@ -33,6 +33,7 @@ from dninverse import (
     zero_threshold,
 )
 
+from dninverse import oracle
 from dninverse.oracle import DENSITY_RANGE, RIDGE_FACTOR, _run_trials
 
 SPLIT = SignMatrix.from_rows(["+-++", "-+++", "+++-", "++-+"])
@@ -63,9 +64,13 @@ def test_crossing_oracle_hand_cases():
     assert bipartition_crossing_oracle(SignMatrix.from_rows(["+"]))
 
 
-def test_crossing_oracle_guards():
+def test_crossing_oracle_guards(monkeypatch):
     with pytest.raises(TooLarge):
         bipartition_crossing_oracle(random_feasible_sign_matrix(17, 0))
+    monkeypatch.setattr(oracle, "MAX_ORACLE_VERTICES", 4)  # read at call time
+    assert bipartition_crossing_oracle(random_feasible_sign_matrix(4, 0))
+    with pytest.raises(TooLarge, match="cap 4"):
+        bipartition_crossing_oracle(random_feasible_sign_matrix(5, 0))
     with pytest.raises(AsymmetricSignMatrix):
         bipartition_crossing_oracle(SignMatrix(np.array([[1, -1], [1, 1]])))
 

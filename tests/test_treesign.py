@@ -34,7 +34,8 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
-from dninverse.treesign import TOL_RATIO, _leaf_ratio_report, _tree_layout
+from dninverse import treesign
+from dninverse.treesign import _tree_layout
 from exact_tree_inverse import exact_inverse_column
 
 PATH3 = UGraph(3, [(1, 2), (2, 3)])
@@ -379,20 +380,23 @@ def test_leaf_ratio_check_equals_reference_loop_on_true_inverses():
             )
 
 
-def test_leaf_ratio_check_equals_the_campaign_path_given_the_threshold():
-    # the tree campaign passes the zero threshold it has already computed
+def test_leaf_ratio_check_reads_tol_ratio_at_call_time(monkeypatch):
+    # a threshold below the rounding error of true inverses turns their
+    # deviations into violations
+    monkeypatch.setattr(treesign, "TOL_RATIO", 1e-18)
     rng = np.random.default_rng(33)
+    violations = 0
     for _ in range(60):
         g = random_tree(int(rng.integers(1, 80)), rng)
         a = random_tree_dn_matrix(g, rng)
         inv = cholesky_invert(a)
         for rel_tol in (1e-12, 1e-6, 0.5):
-            tol = zero_threshold(inv.entries, rel_tol)
-            for tol_ratio in (TOL_RATIO, 1e-18):  # 1e-18 turns deviations into violations
-                _same_report(
-                    _leaf_ratio_report(g, inv.entries, tol, tol_ratio),
-                    leaf_ratio_check(a, inv, g, tol_ratio=tol_ratio, rel_tol=rel_tol),
-                )
+            report = leaf_ratio_check(a, inv, g, rel_tol=rel_tol)
+            _same_report(
+                report, _reference_leaf_ratio_check(a, inv, g, tol_ratio=1e-18, rel_tol=rel_tol)
+            )
+            violations += sum("exceeds 1e-18" in v for v in report.violations)
+    assert violations
 
 
 def test_leaf_ratio_check_equals_reference_loop_on_arbitrary_matrices():

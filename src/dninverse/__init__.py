@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 # defining module -> the public names it defines
 _EXPORTS = {
     "densemat": """REL_PIVOT_FLOOR REL_SYM_TOL REL_TOL_RESIDUAL REL_TOL_ZERO
-        DnVerdict EigenPair SymMatrix cholesky_invert matrix_graph
-        min_eigenvalue perron_eigenpair verify_doubly_nonnegative
-        zero_threshold""",
+        DnVerdict SymMatrix cholesky_invert matrix_graph min_eigenvalue
+        verify_doubly_nonnegative zero_threshold""",
     "errors": """AsymmetricMatrix AsymmetricSignMatrix DimensionMismatch
         DnInverseError InfeasiblePattern NotATree NotConverged
         NotPositiveDefinite SchurNotPositiveDefinite TooLarge""",
@@ -28,10 +27,9 @@ _EXPORTS = {
         write_matrix write_sign_matrix""",
     "graphs": """Connectivity UGraph bfs_distances connected_components
         is_connected random_tree""",
-    "oracle": """Bipartition CampaignReport NonUniquenessPair all_bipartitions
-        bipartition_crossing_oracle necessity_campaign quadratic_form_gap
-        random_dn_matrix search_nonunique_complete tree_sign_campaign
-        trial_seed""",
+    "oracle": """CampaignReport NonUniquenessPair bipartition_crossing_oracle
+        necessity_campaign random_dn_matrix search_nonunique_complete
+        tree_sign_campaign trial_seed""",
     "signpattern": """MINUS PLUS FeasibilityReport SignMatrix ambiguous_signs
         check_feasible construct_witness negative_sign_graph
         random_feasible_sign_matrix sign_of""",

@@ -90,7 +90,9 @@ def _emit(args, document: dict, human_lines: list[str]) -> None:
 
 
 def _tolerance_header(args) -> list[str]:
-    return [f"# tol_zero_rel = {args.tol_zero:g}"]
+    """The tolerance line: ``:g`` text where it reads back as the tolerance, else ``repr``."""
+    text = f"{args.tol_zero:g}"
+    return [f"# tol_zero_rel = {text if float(text) == args.tol_zero else repr(args.tol_zero)}"]
 
 
 def _cmd_check(args) -> int:

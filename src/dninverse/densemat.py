@@ -1,13 +1,12 @@
 """Dense symmetric matrix kernels.
 
 Construction with a symmetrization gate, Cholesky-based inversion (LAPACK
-``potrf`` + ``trtri``) with a pivot floor, the smallest eigenvalue and the
-Perron pair (one LAPACK ``eigh`` call site), and the doubly-nonnegative
-membership verdict. All tolerances are relative to the scale of the input and
-overridable at the call sites that classify entries. ``scipy.linalg`` is
-imported by the first factorization or eigenvalue call, and
-:func:`single_blas_thread` pins numpy's OpenBLAS pool and, as it loads,
-scipy's.
+``potrf`` + ``trtri``) with a pivot floor, the smallest eigenvalue (the one
+LAPACK ``eigh`` call site), and the doubly-nonnegative membership verdict.
+All tolerances are relative to the scale of the input and overridable at the
+call sites that classify entries. ``scipy.linalg`` is imported by the first
+factorization or eigenvalue call, and :func:`single_blas_thread` pins numpy's
+OpenBLAS pool and, as it loads, scipy's.
 """
 
 from __future__ import annotations
@@ -250,12 +249,6 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    value: float
-    vector: np.ndarray
-
-
 @dataclass(frozen=True)
 class DnVerdict:
     """Outcome of the doubly-nonnegative membership check."""
@@ -332,54 +325,30 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     uinv, info = _linalg().lapack.dtrtri(_cholesky_factor(a), lower=0, overwrite_c=1)
     if info:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
         raise NotPositiveDefinite("Cholesky factorization failed")
-    # an inverse beyond the float range is reported by the finiteness check
-    # of _trusted as a ValueError, not also as numpy's overflow warning
+    # an inverse beyond the float range is reported below, not also as
+    # numpy's overflow warning
     with np.errstate(over="ignore"):
         product = uinv @ uinv.T
-    # the inverse does not point back at a: no reference cycle
-    a._inverse = SymMatrix._trusted(product)
+    try:
+        # the inverse does not point back at a: no reference cycle
+        a._inverse = SymMatrix._trusted(product)
+    except ValueError:  # the finiteness check of _trusted, whose message blames the input
+        raise ValueError("inverse overflows the float range: its entries are not finite") from None
     return a._inverse
 
 
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    """Flip the vector so its first nonzero component is positive."""
-    nonzero = np.nonzero(v)[0]
-    if nonzero.size and v[nonzero[0]] < 0:
-        return -v
-    return v
-
-
-def perron_eigenpair(a: SymMatrix) -> EigenPair:
-    """Largest eigenvalue and its eigenvector, from the LAPACK symmetric eigensolver.
-
-    Intended for entrywise-nonnegative irreducible matrices, where the largest
-    eigenvalue is the spectral radius, it is simple, and its eigenvector can be
-    taken strictly positive (Perron-Frobenius); a component within the
-    solver's rounding error of zero can still come out with either sign. The
-    returned vector has unit Euclidean norm and a positive first nonzero
-    component.
-    """
-    values, vectors = _eigh(a, a.n - 1, eigvals_only=False)
-    return EigenPair(float(values[0]), _canonical_direction(vectors[:, 0]))
-
-
 def min_eigenvalue(a: SymMatrix) -> float:
-    """Smallest eigenvalue, from the LAPACK symmetric eigensolver. Its last bits depend
-    on the BLAS thread count, so only inside :func:`single_blas_thread` do they match a verb's."""
-    return float(_eigh(a, 0, eigvals_only=True)[0])
-
-
-def _eigh(a: SymMatrix, index: int, eigvals_only: bool):
-    """scipy's ``eigh`` for the one eigenvalue at ``index`` in ascending order, with its
-    eigenvector unless ``eigvals_only``; a LAPACK failure raises :class:`NotConverged`."""
+    """Smallest eigenvalue, from the LAPACK symmetric eigensolver; a LAPACK failure
+    raises :class:`NotConverged`. Its last bits depend on the BLAS thread count, so
+    only inside :func:`single_blas_thread` do they match a verb's."""
     scipy_linalg = _linalg()
     try:
-        return scipy_linalg.eigh(
-            a.entries, eigvals_only=eigvals_only, subset_by_index=(index, index),
-            check_finite=False,
+        values = scipy_linalg.eigh(
+            a.entries, eigvals_only=True, subset_by_index=(0, 0), check_finite=False
         )
     except scipy_linalg.LinAlgError as exc:
         raise NotConverged(f"symmetric eigensolver failed: {exc}") from exc
+    return float(values[0])
 
 
 def matrix_graph(a: SymMatrix, rel_tol: float = REL_TOL_ZERO) -> UGraph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, _band_signs, cholesky_invert, zero_threshold
-from .errors import AsymmetricSignMatrix, DimensionMismatch, TooLarge
+from .errors import AsymmetricSignMatrix, TooLarge
 from .graphs import mask_components, random_tree
 from .signpattern import MINUS, SignMatrix, sign_of
 from .treesign import (
@@ -28,37 +28,6 @@ MAX_ORACLE_VERTICES = 16
 MAX_RESAMPLES = 1000
 DENSITY_RANGE = (0.3, 1.0)
 RIDGE_FACTOR = 1e-6
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Split of {1..n} into two nonempty disjoint sides covering everything."""
-
-    side_one: frozenset[int]
-    side_two: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.side_one or not self.side_two:
-            raise ValueError("both sides must be nonempty")
-        if self.side_one & self.side_two:
-            raise ValueError("sides must be disjoint")
-        union = self.side_one | self.side_two
-        if union != set(range(1, len(union) + 1)):
-            raise ValueError("sides must cover exactly the vertices 1..n")
-
-    @property
-    def n(self) -> int:
-        return len(self.side_one) + len(self.side_two)
-
-
-def all_bipartitions(n: int):
-    """Every nontrivial bipartition of {1..n}, with vertex 1 pinned to side one."""
-    if n < 2:
-        return
-    rest = list(range(2, n + 1))
-    for mask in range(1, 1 << (n - 1)):
-        side_two = frozenset(v for k, v in enumerate(rest) if (mask >> k) & 1)
-        yield Bipartition(frozenset(range(1, n + 1)) - side_two, side_two)
 
 
 def bipartition_crossing_oracle(s: SignMatrix) -> bool:
@@ -83,32 +52,6 @@ def bipartition_crossing_oracle(s: SignMatrix) -> bool:
         if not minus[~side_two][:, side_two].any():
             return False
     return True
-
-
-def quadratic_form_gap(
-    a_inverse: SymMatrix, x: np.ndarray, part: Bipartition
-) -> float:
-    """Cross term x_1^T Z_12 x_2 of x^T A^{-1} x under a bipartition.
-
-    Z_12 is the off-diagonal block of the inverse between the two sides, and
-    x_1, x_2 are the corresponding slices of x (side vertices in increasing
-    order). When A is doubly nonnegative and x is its dominant eigenvector,
-    this cross term is nonpositive, and it is strictly negative exactly when
-    some inverse entry crossing the bipartition is negative.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a_inverse.n,):
-        raise DimensionMismatch(
-            f"vector of shape {x.shape} does not match matrix size {a_inverse.n}"
-        )
-    if part.n != a_inverse.n:
-        raise DimensionMismatch(
-            f"bipartition covers {part.n} vertices, matrix has {a_inverse.n}"
-        )
-    one = np.array(sorted(part.side_one)) - 1
-    two = np.array(sorted(part.side_two)) - 1
-    block = a_inverse.entries[np.ix_(one, two)]
-    return float(x[one] @ block @ x[two])
 
 
 def random_dn_matrix(n: int, density: float, seed) -> SymMatrix:

@@ -158,6 +158,13 @@ def test_verify_rejects_a_matrix_whose_inverse_overflows(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.9999999", "0.1234567"])
+def test_the_tolerance_header_prints_the_tolerance_used(value, capsys):
+    # six significant digits would print 0.9999999 as 1, which --tol-zero rejects
+    main(["verify", str(FIXTURES / "path3_matrix.txt"), "--tol-zero", value])
+    assert capsys.readouterr().out.splitlines()[0] == f"# tol_zero_rel = {value}"
+
+
 def test_verify_gives_a_verdict_on_entries_near_the_float_maximum(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("2\n1.7976931348623157e308 1\n1 1.7976931348623157e308\n")
@@ -944,7 +951,9 @@ def test_an_overflowing_inverse_prints_only_the_error_line(tmp_path, capfd):
     path = tmp_path / "tiny.txt"
     path.write_text("1\n5e-324\n")
     assert main(["verify", str(path)]) == 2
-    assert capfd.readouterr().err == "error: matrix entries must be finite\n"
+    assert capfd.readouterr().err == (
+        "error: inverse overflows the float range: its entries are not finite\n"
+    )
 
 
 @pytest.mark.parametrize("module", ["dninverse", "dninverse.cli"])
@@ -970,4 +979,6 @@ def test_the_cli_runs_as_a_module(module, tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ")
     done = cli("verify", str(tiny))
-    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: matrix entries must be finite\n")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: inverse overflows the float range: its entries are not finite\n"
+    )

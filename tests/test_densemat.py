@@ -19,7 +19,6 @@ from dninverse import (
     leaf_attach_inverse_update,
     matrix_graph,
     min_eigenvalue,
-    perron_eigenpair,
     random_dn_matrix,
     random_feasible_sign_matrix,
     random_tree,
@@ -217,67 +216,12 @@ def test_the_verdict_of_a_matrix_whose_inverse_overflows_raises():
         verify_doubly_nonnegative(SymMatrix([[5e-324]]))
 
 
-def test_perron_eigenpair_hand_cases():
-    pair = perron_eigenpair(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-    assert pair.value == pytest.approx(3.0, abs=1e-10)
-    np.testing.assert_allclose(pair.vector, [1 / np.sqrt(2)] * 2, atol=1e-8)
-    single = perron_eigenpair(SymMatrix([[5.0]]))
-    assert single.value == pytest.approx(5.0)
-    np.testing.assert_allclose(single.vector, [1.0])
-    third = perron_eigenpair(SymMatrix(np.array([[2, 1], [1, 2]]) / 3.0))
-    assert third.value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_perron_vector_strictly_positive_on_dn_input():
-    rng = np.random.default_rng(11)
-    for n in (2, 5, 9):
-        b = rng.random((n, n))
-        a = SymMatrix(b @ b.T + 1e-6 * n * np.eye(n))
-        pair = perron_eigenpair(a)
-        assert (pair.vector > 0).all()
-        residual = np.linalg.norm(a.entries @ pair.vector - pair.value * pair.vector)
-        assert residual <= 1e-10 * max(1.0, pair.value)
-
-
-def _top_pair_of_numpy(a):
-    """numpy's (divide-and-conquer LAPACK) largest eigenpair, the vector summing positive."""
-    values, vectors = np.linalg.eigh(a.entries)
-    top = vectors[:, -1]
-    return values[-1], top if top.sum() > 0 else -top
-
-
-@pytest.mark.parametrize("n", [100, 300])
-def test_perron_eigenpair_matches_a_dense_eigensolver_to_rounding(n):
-    # the vector's error itself, not the residual |Av - lambda v|: on these
-    # trees a residual of 1e-10 still leaves vectors up to 2e-9 off
-    cases = {
-        "tree": random_tree_dn_matrix(random_tree(n, seed=5), seed=5),
-        "dense": random_dn_matrix(n, 1.0, seed=5),
-    }
-    for kind, a in cases.items():
-        pair = perron_eigenpair(a)
-        value, vector = _top_pair_of_numpy(a)
-        assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-14), kind
-        assert np.abs(pair.vector - vector).max() <= 1e-12, kind
-        assert abs(pair.value - value) <= 1e-14 * value, kind
-
-
-def test_perron_eigenpair_is_the_largest_eigenvalue_not_the_largest_in_magnitude():
-    pair = perron_eigenpair(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
-    assert pair.value == 1.0
-    np.testing.assert_array_equal(pair.vector, [1.0, 0.0])
-    flipped = perron_eigenpair(SymMatrix([[-1.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_array_equal(flipped.vector, [0.0, 1.0])
-
-
-def test_a_failing_eigensolver_raises_not_converged_for_both_eigen_kernels(monkeypatch):
+def test_a_failing_eigensolver_raises_not_converged(monkeypatch):
     def failing(*args, **kwargs):
         raise scipy.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(scipy.linalg, "eigh", failing)
     a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    with pytest.raises(NotConverged, match="symmetric eigensolver failed: no convergence"):
-        perron_eigenpair(a)
     with pytest.raises(NotConverged, match="symmetric eigensolver failed: no convergence"):
         min_eigenvalue(a)
 
@@ -298,7 +242,7 @@ def test_min_eigenvalue_inverse_reciprocal_of_dominant():
     rng = np.random.default_rng(3)
     b = rng.random((6, 6))
     a = SymMatrix(b @ b.T + 6e-6 * np.eye(6))
-    lam = perron_eigenpair(a).value
+    lam = np.linalg.eigvalsh(a.entries)[-1]
     gamma = min_eigenvalue(cholesky_invert(a))
     assert gamma * lam == pytest.approx(1.0, abs=1e-9)
 

@@ -5,22 +5,18 @@ from dninverse import (
     MINUS,
     PLUS,
     AsymmetricSignMatrix,
-    Bipartition,
-    DimensionMismatch,
     SignMatrix,
     SymMatrix,
     TooLarge,
-    all_bipartitions,
     bipartition_crossing_oracle,
+    check_feasible,
     cholesky_invert,
     connected_components,
     is_connected,
     matrix_graph,
     necessity_campaign,
     negative_sign_graph,
-    perron_eigenpair,
     predict_tree_sign_pattern,
-    quadratic_form_gap,
     random_dn_matrix,
     random_feasible_sign_matrix,
     random_tree,
@@ -37,25 +33,6 @@ from dninverse import oracle
 from dninverse.oracle import DENSITY_RANGE, RIDGE_FACTOR, _run_trials
 
 SPLIT = SignMatrix.from_rows(["+-++", "-+++", "+++-", "++-+"])
-
-
-def test_bipartition_validation():
-    part = Bipartition(frozenset({1, 3}), frozenset({2}))
-    assert part.n == 3
-    with pytest.raises(ValueError):
-        Bipartition(frozenset(), frozenset({1}))
-    with pytest.raises(ValueError):
-        Bipartition(frozenset({1, 2}), frozenset({2}))
-    with pytest.raises(ValueError):
-        Bipartition(frozenset({1}), frozenset({3}))
-
-
-def test_all_bipartitions_enumeration():
-    parts = list(all_bipartitions(4))
-    assert len(parts) == 7
-    assert all(1 in p.side_one for p in parts)
-    assert len({(tuple(sorted(p.side_two))) for p in parts}) == 7
-    assert list(all_bipartitions(1)) == []
 
 
 def test_crossing_oracle_hand_cases():
@@ -93,20 +70,48 @@ def test_crossing_oracle_agrees_with_connectivity():
     assert verdicts == {True, False}
 
 
-def test_quadratic_form_gap_hand_cases():
-    part = Bipartition(frozenset({1}), frozenset({2}))
-    assert quadratic_form_gap(SymMatrix.identity(2), np.ones(2), part) == 0.0
-    z = SymMatrix([[2.0, -1.0], [-1.0, 2.0]])
-    x = np.ones(2) / np.sqrt(2)
-    assert quadratic_form_gap(z, x, part) == pytest.approx(-0.5)
+def _feasibility_census(n):
+    """Every symmetric pattern on n vertices with a PLUS diagonal, one per subset
+    of the C(n, 2) upper positions made MINUS."""
+    rows, cols = np.triu_indices(n, k=1)
+    bits = 1 << np.arange(rows.size)
+    for mask in range(1 << rows.size):
+        signs = np.full((n, n), PLUS, dtype=np.int8)
+        minus = (mask & bits) > 0
+        signs[rows[minus], cols[minus]] = signs[cols[minus], rows[minus]] = MINUS
+        yield SignMatrix(signs)
 
 
-def test_quadratic_form_gap_dimension_checks():
-    part = Bipartition(frozenset({1}), frozenset({2}))
-    with pytest.raises(DimensionMismatch):
-        quadratic_form_gap(SymMatrix.identity(3), np.ones(3), part)
-    with pytest.raises(DimensionMismatch):
-        quadratic_form_gap(SymMatrix.identity(2), np.ones(3), part)
+# connected labelled graphs on n = 1..6 vertices (OEIS A001187)
+CONNECTED_LABELLED_GRAPHS = [1, 1, 4, 38, 728, 26704]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_feasible_patterns_are_counted_by_connected_labelled_graphs(n):
+    # the theorem's condition, exhaustively: a symmetric pattern with a PLUS
+    # diagonal is feasible exactly when its negative-sign graph is connected,
+    # and the crossing oracle re-derives each verdict by enumerating splits
+    feasible = 0
+    for s in _feasibility_census(n):
+        verdict = check_feasible(s).feasible
+        feasible += verdict
+        if n <= 5:
+            assert bipartition_crossing_oracle(s) == verdict, s
+    assert feasible == CONNECTED_LABELLED_GRAPHS[n - 1]
+
+
+def _perron_vector(a):
+    """numpy's unit eigenvector of the largest eigenvalue, signed to sum positive."""
+    top = np.linalg.eigh(a.entries)[1][:, -1]
+    return top if top.sum() > 0 else -top
+
+
+def _bipartitions(n):
+    """Each nontrivial split of the n vertices as a mask of side two; vertex 1
+    stays on side one."""
+    bits = 1 << np.arange(n - 1)
+    for mask in range(1, 1 << (n - 1)):
+        yield np.concatenate(([False], (mask & bits) > 0))
 
 
 def test_perron_cross_terms_never_positive():
@@ -119,13 +124,12 @@ def test_perron_cross_terms_never_positive():
         a = random_dn_matrix(n, float(rng.uniform(0.4, 1.0)), rng)
         inv = cholesky_invert(a)
         tol = zero_threshold(inv.entries)
-        x = perron_eigenpair(a).vector
+        x = _perron_vector(a)
         slack = 1e-8 * float(np.abs(inv.entries).max())
-        for part in all_bipartitions(n):
-            assert quadratic_form_gap(inv, x, part) <= slack
-            one = np.array(sorted(part.side_one)) - 1
-            two = np.array(sorted(part.side_two)) - 1
+        for two in _bipartitions(n):
+            one = ~two
             block = inv.entries[np.ix_(one, two)]
+            assert x[one] @ block @ x[two] <= slack
             assert (block < -tol).any()
 
 

@@ -10,8 +10,8 @@ work ran out of memory, or the invocation was malformed.
 
 Importing this module loads what check, verify and witness run; the campaign
 modules ``oracle`` and ``treesign`` are imported by the verbs that use them
-(fuzz and search-nonunique, predict), and ``scipy.linalg`` by the first
-factorization.
+(fuzz and search-nonunique, predict). No verb loads scipy: the LAPACK kernels
+run on the OpenBLAS numpy has loaded, whose one thread pool each verb pins.
 """
 
 from __future__ import annotations

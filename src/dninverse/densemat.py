@@ -1,12 +1,13 @@
 """Dense symmetric matrix kernels.
 
 Construction with a symmetrization gate, Cholesky-based inversion (LAPACK
-``potrf`` + ``trtri``) with a pivot floor, the smallest eigenvalue (the one
-LAPACK ``eigh`` call site), and the doubly-nonnegative membership verdict.
-All tolerances are relative to the scale of the input and overridable at the
-call sites that classify entries. ``scipy.linalg`` is imported by the first
-factorization or eigenvalue call, and :func:`single_blas_thread` pins numpy's
-OpenBLAS pool and, as it loads, scipy's.
+``potrf`` + ``trtri``) with a pivot floor, the smallest eigenvalue (LAPACK
+``syevr``), and the doubly-nonnegative membership verdict. All tolerances are
+relative to the scale of the input and overridable at the call sites that
+classify entries. The LAPACK routines are called through ctypes from the
+OpenBLAS that numpy bundles and has already loaded, the one library and the
+one thread pool behind every product as well, which :func:`single_blas_thread`
+pins. Under a numpy that bundles none, ``numpy.linalg`` stands in.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,117 +29,71 @@ REL_PIVOT_FLOOR = 1e-12
 REL_TOL_RESIDUAL = 1e-9
 REL_SYM_TOL = 1e-12
 
-# numpy and scipy each bundle an OpenBLAS with its own thread pool:
-# (package, library file pattern, thread-count getter, setter)
-_OPENBLAS = (
-    ("numpy", "numpy.libs/libscipy_openblas64_*.so",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "scipy.libs/libscipy_openblas-*.so",
-     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-# (setter, thread count) pairs that the outermost active single_blas_thread
-# block puts back on exit; None outside any block. Process-wide, as the thread
-# counts it records are.
-_pinned = None
-
-
-@functools.cache
-def _linalg():
-    """``scipy.linalg``, imported on the first call and then looked up in the cache.
-
-    Only the factorizations and the eigensolver need LAPACK, so ``check`` and
-    ``predict`` never load it (a third of a second at import). Importing it
-    also loads scipy's OpenBLAS: inside a :func:`single_blas_thread` block,
-    that pool is pinned to one thread here and restored with the others when
-    the block ends.
-    """
-    import scipy.linalg
-
-    if _pinned is not None:
-        known = [setter for setter, _ in _pinned]  # ctypes functions do not hash
-        _pinned.extend(_pin(pool for pool in _openblas_pools() if pool[1] not in known))
-    return scipy.linalg
+# numpy's bundled OpenBLAS, which it loads at import; its symbols carry a
+# scipy_ prefix and a 64_ suffix, and its Fortran integers are 64-bit
+_OPENBLAS = "numpy.libs/libscipy_openblas64_*.so"
+# Fortran passes every argument by reference: a scalar as a ctypes instance, an
+# array as the instance ``from_buffer`` lays over its first element (cheaper
+# than ``ndarray.ctypes``). A CHARACTER's length follows the other arguments.
+_INT = ctypes.POINTER(ctypes.c_int64)
+_DBL = ctypes.POINTER(ctypes.c_double)
+_CHR = ctypes.c_char_p
+_LEN = ctypes.c_size_t
+# symbol: (argument types, result type)
+_ROUTINES = {
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "scipy_dpotrf_64_": ([_CHR, _INT, _DBL, _INT, _INT, _LEN], None),
+    "scipy_dlaset_64_": ([_CHR, _INT, _INT, _DBL, _DBL, _DBL, _INT, _LEN], None),
+    "scipy_dtrtri_64_": ([_CHR, _CHR, _INT, _DBL, _INT, _INT, _LEN, _LEN], None),
+    "scipy_dsyevr_64_": (
+        [_CHR, _CHR, _CHR, _INT, _DBL, _INT, _DBL, _DBL, _INT, _INT, _DBL, _INT, _DBL, _DBL,
+         _INT, _INT, _DBL, _INT, _INT, _INT, _INT, _LEN, _LEN, _LEN],
+        None,
+    ),
+}
 
 
 @functools.cache
-def _openblas_pool(package, pattern, get_name, set_name):
-    """(getter, setter) of a package's bundled OpenBLAS, or None when it bundles none.
+def _openblas():
+    """numpy's bundled OpenBLAS with :data:`_ROUTINES` bound, or None under any other build.
 
-    Raises KeyError while the package is not imported and OSError while its
-    library is not loaded; an error is not cached, so the pool is looked for
-    again on the next call. RTLD_NOLOAD only finds a library the process has
-    loaded, so this never brings in a second copy.
+    Its thread pool is the only one the process runs, and its LAPACK routines
+    are the ones the kernels call. RTLD_NOLOAD only finds a library the
+    process has loaded, so this never brings in a second copy.
     """
-    module = sys.modules[package]  # a package not imported has not loaded its OpenBLAS either
-    libs = sorted(Path(module.__file__).resolve().parent.parent.glob(pattern))
+    libs = sorted(Path(np.__file__).resolve().parent.parent.glob(_OPENBLAS))
     if not libs:
         return None
-    lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
     try:
-        getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-    except AttributeError:
+        lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+        for symbol, (argtypes, restype) in _ROUTINES.items():
+            routine = getattr(lib, symbol)  # kept on lib, so later lookups find it bound
+            routine.argtypes, routine.restype = argtypes, restype
+    except (OSError, AttributeError):
         return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return getter, setter
-
-
-def _openblas_pools() -> tuple:
-    """(getter, setter) pairs of the bundled OpenBLAS libraries loaded so far.
-
-    numpy's pool is found from the first call, since the package loads its
-    library at import. scipy's is found once ``scipy.linalg`` (or another
-    scipy module that links its OpenBLAS) has been imported; until then it
-    is left out and looked for again on each call. Empty under any other
-    BLAS build.
-    """
-    pools = []
-    for entry in _OPENBLAS:
-        try:
-            pool = _openblas_pool(*entry)
-        except (KeyError, OSError):
-            continue
-        if pool is not None:
-            pools.append(pool)
-    return tuple(pools)
-
-
-def _pin(pools) -> list:
-    """Set each (getter, setter) pool to one thread; its (setter, previous count) pairs."""
-    saved = [(setter, getter()) for getter, setter in pools]
-    for setter, _ in saved:
-        setter(1)
-    return saved
+    return lib
 
 
 @contextmanager
 def single_blas_thread():
-    """Run the block with every OpenBLAS pool on one thread, then restore the counts.
+    """Run the block with numpy's OpenBLAS pool on one thread, then restore its count.
 
     The matrices here are small enough that a second BLAS thread costs more
     in wake-ups than it saves. The thread count is process-wide, so only
-    entry points use this. The pools are those :func:`_openblas_pools` finds
-    on entry, plus scipy's when :func:`_linalg` loads it inside the block.
-    Pools are left alone when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set,
-    and nothing happens under another BLAS build.
+    entry points use this. The pool is left alone when OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS is set, and nothing happens under another BLAS build.
     """
-    global _pinned
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+    lib = _openblas()
+    if lib is None or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         yield
         return
-    saved = _pin(_openblas_pools())
-    outermost = _pinned is None
-    if outermost:
-        _pinned = saved
+    saved = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        if outermost:
-            _pinned = None
-        for setter, count in saved:
-            setter(count)
+        lib.scipy_openblas_set_num_threads64_(saved)
 
 
 def check_rel_tolerance(rel: float) -> float:
@@ -282,11 +236,13 @@ class DnVerdict:
 
 
 def _cholesky_factor(a: SymMatrix) -> np.ndarray:
-    """Upper Cholesky factor U with A = U^T U, rejecting pivots at or below the
-    relative floor.
+    """Upper Cholesky factor U with A = U^T U, in Fortran order, rejecting pivots at
+    or below the relative floor.
 
-    LAPACK ``dpotrf`` on ``A^T``, which is ``A`` and already in Fortran order;
-    the strict lower triangle of the result is zeroed.
+    LAPACK ``dpotrf`` on a copy of A, then ``dlaset`` to zero the strict lower
+    triangle, which ``dpotrf`` leaves as A had it (``np.tril`` costs more than
+    the factorization itself for n < 50); ``numpy.linalg.cholesky`` when numpy
+    bundles no OpenBLAS.
     """
     arr = a.entries
     diag_max = float(arr.diagonal().max())
@@ -294,9 +250,23 @@ def _cholesky_factor(a: SymMatrix) -> np.ndarray:
         raise NotPositiveDefinite(
             f"largest diagonal entry is {diag_max:g}, matrix cannot be positive definite"
         )
-    upper, info = _linalg().lapack.dpotrf(arr.T, lower=0, clean=1)
-    if info:
-        raise NotPositiveDefinite("Cholesky factorization failed")
+    lib = _openblas()
+    if lib is None:
+        try:
+            upper = np.linalg.cholesky(arr).T
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("Cholesky factorization failed") from None
+    else:
+        c = arr.copy(order="C")  # A^T = A in Fortran order; from_buffer needs C order
+        n, info = ctypes.c_int64(a.n), ctypes.c_int64()
+        lib.scipy_dpotrf_64_(b"U", n, ctypes.c_double.from_buffer(c), n, info, 1)
+        if info.value:
+            raise NotPositiveDefinite("Cholesky factorization failed")
+        if a.n > 1:  # A's strict lower triangle is the (n-1)x(n-1) block at A(2,1) and below
+            below, zero = ctypes.c_int64(a.n - 1), ctypes.c_double(0.0)
+            block = ctypes.c_double.from_buffer(c, 8)  # A(2,1): one double past A(1,1)
+            lib.scipy_dlaset_64_(b"L", below, below, zero, zero, block, n, 1)
+        upper = c.T
     floor = REL_PIVOT_FLOOR * diag_max
     pivots = upper.diagonal() ** 2
     worst = float(pivots.min())
@@ -311,20 +281,27 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor.
 
     A^-1 = U^-1 U^-T, with U inverted in place by LAPACK ``dtrtri`` (n^3/3
-    flops) and the product formed as one symmetric rank-n update: numpy runs
-    ``x @ x.T`` through BLAS ``syrk`` and mirrors one triangle, so the result
-    is exactly symmetric. Raises :class:`NotPositiveDefinite` when
-    factorization fails or a pivot falls at or below ``REL_PIVOT_FLOOR``
-    times the largest diagonal entry. An inverse beyond the float range
-    raises ValueError. The first inverse of ``a`` is kept on it and returned
-    by every later call, so a matrix is factored once however many callers
-    ask; a failure is not kept, and raises again on the next call.
+    flops; ``numpy.linalg.inv`` when numpy bundles no OpenBLAS) and the
+    product formed as one symmetric rank-n update: numpy runs ``x @ x.T``
+    through BLAS ``syrk`` and mirrors one triangle, so the result is exactly
+    symmetric. Raises :class:`NotPositiveDefinite` when factorization fails
+    or a pivot falls at or below ``REL_PIVOT_FLOOR`` times the largest
+    diagonal entry. An inverse beyond the float range raises ValueError. The
+    first inverse of ``a`` is kept on it and returned by every later call, so
+    a matrix is factored once however many callers ask; a failure is not
+    kept, and raises again on the next call.
     """
     if a._inverse is not None:
         return a._inverse
-    uinv, info = _linalg().lapack.dtrtri(_cholesky_factor(a), lower=0, overwrite_c=1)
-    if info:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
-        raise NotPositiveDefinite("Cholesky factorization failed")
+    uinv = _cholesky_factor(a)
+    lib = _openblas()
+    if lib is None:
+        uinv = np.linalg.inv(uinv)  # U is nonsingular past the pivot floor
+    else:
+        n, info = ctypes.c_int64(a.n), ctypes.c_int64()
+        lib.scipy_dtrtri_64_(b"U", b"N", n, ctypes.c_double.from_buffer(uinv.T), n, info, 1, 1)
+        if info.value:  # a zero pivot of U, which the pivot floor of _cholesky_factor excludes
+            raise NotPositiveDefinite("Cholesky factorization failed")
     # an inverse beyond the float range is reported below, not also as
     # numpy's overflow warning
     with np.errstate(over="ignore"):
@@ -338,16 +315,37 @@ def cholesky_invert(a: SymMatrix) -> SymMatrix:
 
 
 def min_eigenvalue(a: SymMatrix) -> float:
-    """Smallest eigenvalue, from the LAPACK symmetric eigensolver; a LAPACK failure
-    raises :class:`NotConverged`. Its last bits depend on the BLAS thread count, so
-    only inside :func:`single_blas_thread` do they match a verb's."""
-    scipy_linalg = _linalg()
-    try:
-        values = scipy_linalg.eigh(
-            a.entries, eigvals_only=True, subset_by_index=(0, 0), check_finite=False
+    """Smallest eigenvalue, from LAPACK ``dsyevr`` on the lower triangle (values only,
+    the first by index); ``numpy.linalg.eigvalsh`` when numpy bundles no OpenBLAS.
+
+    A LAPACK failure raises :class:`NotConverged`. The last bits depend on the
+    thread count of numpy's OpenBLAS pool, so only inside
+    :func:`single_blas_thread` do they match a verb's.
+    """
+    lib = _openblas()
+    if lib is None:
+        try:
+            return float(np.linalg.eigvalsh(a.entries)[0])
+        except np.linalg.LinAlgError as exc:
+            raise NotConverged(f"symmetric eigensolver failed: {exc}") from exc
+    arr = a.entries.copy(order="C")  # A itself in Fortran order too; dsyevr overwrites it
+    n, one, zero = ctypes.c_int64(a.n), ctypes.c_int64(1), ctypes.c_double(0.0)
+    found, info = ctypes.c_int64(), ctypes.c_int64()
+    values, support = np.empty(a.n), np.empty(2 * a.n, dtype=np.int64)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    w, isuppz = ctypes.c_double.from_buffer(values), ctypes.c_int64.from_buffer(support)
+    for query in (True, False):
+        lib.scipy_dsyevr_64_(
+            b"N", b"I", b"L", n, ctypes.c_double.from_buffer(arr), n, zero, zero, one, one, zero,
+            found, w, w, one, isuppz,  # Z, the second w, is not referenced for values only
+            ctypes.c_double.from_buffer(work), ctypes.c_int64(-1 if query else work.size),
+            ctypes.c_int64.from_buffer(iwork), ctypes.c_int64(-1 if query else iwork.size),
+            info, 1, 1, 1,
         )
-    except scipy_linalg.LinAlgError as exc:
-        raise NotConverged(f"symmetric eigensolver failed: {exc}") from exc
+        if info.value:
+            raise NotConverged(f"symmetric eigensolver failed: LAPACK dsyevr info {info.value}")
+        if query:  # the optimal workspace sizes
+            work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
     return float(values[0])
 
 

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -529,73 +531,128 @@ def test_golden_necessity_margin_is_within_1e_8_of_the_exact_inverse_entry():
     assert golden["1"]["min_margins"]["min_minus_magnitude"] == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
-def _pool_counts():
-    return [getter() for getter, _ in densemat._openblas_pools()]
+def _pool_count():
+    return densemat._openblas().scipy_openblas_get_num_threads64_()
 
 
 @pytest.fixture
-def blas_pools(monkeypatch):
-    """The OpenBLAS pools with their thread counts raised to two, restored afterwards."""
+def blas_pool(monkeypatch):
+    """numpy's OpenBLAS pool with its thread count raised to two (as far as the
+    machine allows), restored afterwards; the count it has then."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
-    pools = densemat._openblas_pools()
-    if not pools:
-        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
-    saved = _pool_counts()
-    for _, setter in pools:
-        setter(2)
-    yield _pool_counts()
-    for (_, setter), count in zip(pools, saved):
-        setter(count)
+    lib = densemat._openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    saved = _pool_count()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield _pool_count()
+    lib.scipy_openblas_set_num_threads64_(saved)
 
 
 def _recording_check(seen):
     def verb(args):
-        seen.append(_pool_counts())
+        seen.append(_pool_count())
         return 0
 
     return verb
 
 
-def test_main_runs_verbs_on_one_blas_thread_and_restores_the_pools(blas_pools, monkeypatch):
+def test_main_runs_verbs_on_one_blas_thread_and_restores_the_pools(blas_pool, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "_cmd_check", _recording_check(seen))
     assert main(["check", str(FIXTURES / "path3.signs")]) == 0
-    assert seen == [[1] * len(blas_pools)]
-    assert _pool_counts() == blas_pools
+    assert seen == [1]
+    assert _pool_count() == blas_pool
 
 
-def test_main_restores_the_pools_when_a_verb_fails(blas_pools, monkeypatch, capsys):
+def test_main_restores_the_pools_when_a_verb_fails(blas_pool, monkeypatch, capsys):
     def failing(args):
         raise ValueError("boom")
 
     monkeypatch.setattr(cli, "_cmd_check", failing)
     assert main(["check", str(FIXTURES / "path3.signs")]) == 2
     assert "boom" in capsys.readouterr().err
-    assert _pool_counts() == blas_pools
+    assert _pool_count() == blas_pool
 
 
 @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-def test_main_leaves_the_pools_alone_under_a_thread_variable(blas_pools, monkeypatch, name):
+def test_main_leaves_the_pools_alone_under_a_thread_variable(blas_pool, monkeypatch, name):
     seen = []
     monkeypatch.setenv(name, "2")
     monkeypatch.setattr(cli, "_cmd_check", _recording_check(seen))
     assert main(["check", str(FIXTURES / "path3.signs")]) == 0
-    assert seen == [blas_pools]
+    assert seen == [blas_pool]
 
 
-def test_main_runs_when_no_openblas_is_found(monkeypatch, capsys):
+def test_nested_blocks_keep_the_pool_pinned_until_the_outer_block_ends(blas_pool):
+    seen = []
+    with densemat.single_blas_thread():
+        with densemat.single_blas_thread():
+            seen.append(_pool_count())
+        seen.append(_pool_count())
+    assert seen == [1, 1]
+    assert _pool_count() == blas_pool
+
+
+def test_verify_runs_every_lapack_call_on_one_blas_thread(blas_pool, monkeypatch):
+    lib = densemat._openblas()
+    seen = []
+    for symbol in ("scipy_dpotrf_64_", "scipy_dtrtri_64_", "scipy_dsyevr_64_"):
+
+        def recording(*args, routine=getattr(lib, symbol), name=symbol[6:12]):
+            seen.append((name, _pool_count()))
+            routine(*args)
+
+        monkeypatch.setattr(lib, symbol, recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", str(FIXTURES / "path3_matrix.txt")]) == 0
+    # dsyevr is called twice: the workspace query, then the solve
+    assert seen == [("dpotrf", 1), ("dtrtri", 1), ("dsyevr", 1), ("dsyevr", 1)]
+    assert _pool_count() == blas_pool
+
+
+def _json_outputs(argv, tmp_path, capsys, number=float):
+    """Exit code, stdout and the tokens of each file written under ``tmp_path`` by
+    one ``main`` call, with every number read by ``number``; the files are removed."""
+
+    def token(text):
+        try:
+            return number(float(text))
+        except ValueError:
+            return text
+
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out, parse_float=token)
+    files = []
+    for path in sorted(tmp_path.iterdir()):
+        files.append((path.name, [token(text) for text in path.read_text().split()]))
+        path.unlink()
+    return code, out, files
+
+
+def test_main_runs_when_no_openblas_is_found(monkeypatch, tmp_path, capsys):
+    # under a numpy that bundles no OpenBLAS the kernels are numpy.linalg's and
+    # nothing is pinned: the last bits may move, the answers do not
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
-    missing = tuple((pkg, "no-such-dir/libnothing-*.so", get, put) for pkg, _, get, put in densemat._OPENBLAS)
-    monkeypatch.setattr(densemat, "_OPENBLAS", missing)
-    densemat._openblas_pool.cache_clear()
-    try:
-        assert densemat._openblas_pools() == ()
-        assert main(["check", str(FIXTURES / "path3.signs")]) == 0
-        assert "FEASIBLE" in capsys.readouterr().out
-    finally:
-        densemat._openblas_pool.cache_clear()
+    calls = [
+        ["verify", str(FIXTURES / "path3_matrix.txt"), "--json"],
+        ["verify", str(FIXTURES / "nonunique_pair_n4-a.txt"), "--json"],
+        ["witness", str(FIXTURES / "path3.signs"), "--json", "--out", str(tmp_path / "w.txt")],
+        ["witness", str(FIXTURES / "infeasible_split.signs"), "--json", "--out", str(tmp_path / "x.txt")],
+        ["fuzz", "--theorem", "all", "--trials", "20", "--seed", "3", "--json"],
+        ["search-nonunique", "--seed", "3", "--n", "4", "--json", "--out", str(tmp_path / "pair")],
+    ]
+    close = functools.partial(pytest.approx, rel=1e-9)
+    expected = [_json_outputs(argv, tmp_path, capsys, close) for argv in calls]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0, 0]
+    monkeypatch.setattr(densemat, "_openblas", lambda: None)
+    assert main(["check", str(FIXTURES / "path3.signs")]) == 0
+    assert "FEASIBLE" in capsys.readouterr().out
+    for argv, (code, out, files) in zip(calls, expected):
+        got_code, got_out, got_files = _json_outputs(argv, tmp_path, capsys)
+        assert (got_code, got_out, got_files) == (code, out, files), argv
 
 
 @pytest.mark.parametrize(
@@ -717,8 +774,8 @@ def test_the_tree_verbs_and_the_edge_list_connectivity_leave_scipy_sparse_unload
 
 
 def test_importing_the_package_and_the_cli_leaves_scipy_unloaded():
-    # scipy.linalg is a third of a second of import time; only the verbs that
-    # factor a matrix load it
+    # scipy.linalg is a third of a second of import time, and the package
+    # never loads it
     code = (
         "import sys\n"
         "import dninverse\n"
@@ -752,9 +809,25 @@ def test_check_and_predict_leave_scipy_unloaded(argv, code):
     assert _fresh_python(_SCIPY_AFTER_MAIN, json.dumps(argv)) == f"{code} []"
 
 
-def test_verify_loads_scipy_linalg():
-    argv = ["verify", str(FIXTURES / "path3_matrix.txt")]
-    assert _fresh_python(_SCIPY_AFTER_MAIN, json.dumps(argv)) == "0 ['scipy', 'scipy.linalg']"
+def test_no_verb_loads_scipy(tmp_path):
+    # the LAPACK kernels run on the OpenBLAS numpy has loaded, so scipy, a
+    # second BLAS library and a third of a second of import time, stays out
+    calls = [
+        ["check", str(FIXTURES / "path3.signs")],
+        ["predict", str(FIXTURES / "path3.graph")],
+        ["verify", str(FIXTURES / "path3_matrix.txt")],
+        ["witness", str(FIXTURES / "path3.signs"), "--out", str(tmp_path / "w.txt")],
+        ["fuzz", "--theorem", "all", "--trials", "5", "--seed", "3"],
+        ["search-nonunique", "--seed", "3", "--out", str(tmp_path / "pair")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dninverse.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_python(code, json.dumps(calls)) == "[0, 0, 0, 0, 0, 0] []"
 
 
 # The package modules loaded by `import dninverse` alone (argv null), by
@@ -790,114 +863,6 @@ def test_each_verb_loads_only_the_package_modules_it_runs(argv, loaded):
     # call them, and the package itself imports none of its modules
     expected = sorted(f"dninverse.{name}" for name in loaded)
     assert _fresh_python(_MODULES_AFTER_MAIN, json.dumps(argv)) == str(expected)
-
-
-# Thread count of numpy's and of scipy's bundled OpenBLAS pool, None for one
-# not loaded yet, read without dninverse's own lookup
-_POOL_COUNTS = """
-import ctypes, os
-from pathlib import Path
-
-import numpy
-
-SITE = Path(numpy.__file__).resolve().parent.parent
-POOLS = [
-    (sorted(SITE.glob(pattern)), symbol)
-    for pattern, symbol in (
-        ("numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
-        ("scipy.libs/libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
-    )
-]
-
-
-def pool_counts():
-    counts = []
-    for libs, symbol in POOLS:
-        try:
-            counts.append(getattr(ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD), symbol)())
-        except OSError:
-            counts.append(None)
-    return counts
-"""
-
-
-def test_a_factoring_verb_runs_both_blas_pools_on_one_thread_in_a_fresh_interpreter():
-    # A fresh interpreter has not loaded scipy's OpenBLAS when main starts, so
-    # verify loads it inside the pin: the pin must take that pool on as it
-    # loads, or verify factors with scipy's pool at its old count; and the
-    # pools found by the check before it must not be kept as the final set.
-    # The counts are read as each LAPACK entry's _linalg() returns, so the
-    # call that loads scipy is seen after the pin has taken its pool on.
-    code = _POOL_COUNTS + (
-        "import contextlib, io, json\n"
-        "from dninverse import cli, densemat\n"
-        "if not all(libs for libs, _ in POOLS):\n"
-        "    print(json.dumps(None))\n"
-        "    raise SystemExit\n"
-        "during = []\n"
-        "def recording(linalg):\n"
-        "    def wrapped():\n"
-        "        module = linalg()\n"
-        "        during.append(pool_counts())\n"
-        "        return module\n"
-        "    return wrapped\n"
-        "densemat._linalg = recording(densemat._linalg)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['check', sys.argv[1]])]\n"
-        "    before = pool_counts()\n"
-        "    codes.append(cli.main(['verify', sys.argv[2]]))\n"
-        "print(json.dumps({'codes': codes, 'before': before, 'during': during, 'after': pool_counts()}))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["OPENBLAS_DEFAULT_NUM_THREADS"] = "2"  # both pools start with two threads when loaded
-    files = str(FIXTURES / "path3.signs"), str(FIXTURES / "path3_matrix.txt")
-    seen = json.loads(_fresh_python("import sys\n" + code, *files, env=env))
-    if seen is None:
-        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
-    if seen["before"][0] != 2:
-        pytest.skip("OpenBLAS starts fewer than two threads on this machine")
-    assert seen["codes"] == [0, 0]
-    assert seen["before"] == [2, None]  # scipy's OpenBLAS is loaded by the second main
-    assert len(seen["during"]) == 3  # every LAPACK entry: dpotrf, dtrtri and eigh
-    assert all(counts == [1, 1] for counts in seen["during"]), seen["during"]
-    assert seen["after"] == [2, 2]
-
-
-@pytest.mark.parametrize("nested", [False, True], ids=["one-block", "nested-blocks"])
-def test_the_pin_covers_scipys_pool_when_the_block_loads_it(nested):
-    # scipy.linalg is first imported by the factorization inside the block; a
-    # nested block that loads it leaves it pinned until the outer block ends
-    code = _POOL_COUNTS + (
-        "import contextlib, json, sys\n"
-        "from dninverse import densemat\n"
-        "if not all(libs for libs, _ in POOLS):\n"
-        "    print(json.dumps(None))\n"
-        "    raise SystemExit\n"
-        "before = pool_counts()\n"
-        "during = []\n"
-        "factor = densemat._cholesky_factor\n"
-        "def recording(a):\n"
-        "    upper = factor(a)\n"
-        "    during.append(pool_counts())\n"
-        "    return upper\n"
-        "densemat._cholesky_factor = recording\n"
-        "with densemat.single_blas_thread():\n"
-        "    inner = densemat.single_blas_thread() if json.loads(sys.argv[1]) else contextlib.nullcontext()\n"
-        "    with inner:\n"
-        "        densemat.cholesky_invert(densemat.SymMatrix([[2.0, 1.0], [1.0, 2.0]]))\n"
-        "    during.append(pool_counts())\n"
-        "print(json.dumps({'before': before, 'during': during, 'after': pool_counts()}))\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["OPENBLAS_DEFAULT_NUM_THREADS"] = "2"
-    seen = json.loads(_fresh_python(code, json.dumps(nested), env=env))
-    if seen is None:
-        pytest.skip("numpy and scipy are not linked to their bundled OpenBLAS")
-    if seen["before"][0] != 2:
-        pytest.skip("OpenBLAS starts fewer than two threads on this machine")
-    assert seen["before"] == [2, None]  # scipy.linalg is not imported yet
-    assert seen["during"] == [[1, 1], [1, 1]]  # after the factor, and at the end of the block
-    assert seen["after"] == [2, 2]
 
 
 def test_no_subcommand_declares_whether_it_loads_lapack():

@@ -1,8 +1,12 @@
+import ctypes
 import math
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
+from dninverse import densemat
 from dninverse.densemat import _band_signs, single_blas_thread
 
 PATH3 = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
@@ -217,13 +222,88 @@ def test_the_verdict_of_a_matrix_whose_inverse_overflows_raises():
 
 
 def test_a_failing_eigensolver_raises_not_converged(monkeypatch):
-    def failing(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("no convergence")
+    lib = densemat._openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no OpenBLAS whose dsyevr could fail")
+    dsyevr = lib.scipy_dsyevr_64_
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    def failing(*args):
+        dsyevr(*args)
+        args[20].value = 2  # INFO: two eigenvalues failed to converge
+
+    monkeypatch.setattr(lib, "scipy_dsyevr_64_", failing)
+    a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(NotConverged, match="symmetric eigensolver failed: LAPACK dsyevr info 2"):
+        min_eigenvalue(a)
+
+
+def test_a_failing_numpy_eigensolver_raises_not_converged(no_openblas, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(NotConverged, match="symmetric eigensolver failed: no convergence"):
         min_eigenvalue(a)
+
+
+def test_the_numpy_kernels_keep_the_pivot_floor_and_the_exception_types(no_openblas):
+    with pytest.raises(NotPositiveDefinite, match=r"Cholesky pivot .* at or below floor"):
+        cholesky_invert(SymMatrix([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+    with pytest.raises(NotPositiveDefinite, match="Cholesky factorization failed"):
+        cholesky_invert(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        cholesky_invert(SymMatrix([[1e-310]]))
+    np.testing.assert_allclose(cholesky_invert(SymMatrix(PATH3)).entries, PATH3_INVERSE, atol=1e-15)
+    assert min_eigenvalue(SymMatrix(PATH3)) == pytest.approx(2.0 - math.sqrt(2.0))
+
+
+@pytest.fixture
+def scipy_lapack():
+    """``scipy.linalg.lapack`` with scipy's own OpenBLAS pool on one thread, as numpy's
+    runs inside :func:`single_blas_thread`: a thread count can move a last bit."""
+    site = Path(scipy.__file__).resolve().parent.parent
+    libs = sorted(site.glob("scipy.libs/libscipy_openblas-*.so"))
+    if not libs:
+        pytest.skip("scipy is not linked to its bundled OpenBLAS")
+    lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+    saved = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    yield scipy.linalg.lapack
+    lib.scipy_openblas_set_num_threads(saved)
+
+
+def _reference_matrices():
+    """Tree matrices (n = 2..100), dense DN draws (n = 100..300) and witness Q matrices."""
+    rng = np.random.default_rng(22)
+    for n in range(2, 101):
+        yield random_tree_dn_matrix(random_tree(n, rng), rng)
+    for n in range(100, 301, 20):
+        yield random_dn_matrix(n, float(rng.uniform(0.3, 1.0)), rng)
+    for n in (2, 5, 40, 120):
+        yield construct_witness(random_feasible_sign_matrix(n, rng))
+    yield SymMatrix(np.asfortranarray(random_dn_matrix(50, 0.5, rng).entries))
+
+
+def test_the_bound_lapack_is_scipys_bit_for_bit(scipy_lapack):
+    # numpy's OpenBLAS runs the kernels; scipy's is the reference. A misspelt
+    # symbol would fall back to numpy.linalg silently, so the bound path must
+    # be the one running wherever numpy bundles its OpenBLAS.
+    site = Path(np.__file__).resolve().parent.parent
+    if sorted(site.glob(densemat._OPENBLAS)):
+        assert densemat._openblas() is not None
+    else:
+        pytest.skip("numpy bundles no OpenBLAS")
+    with single_blas_thread():
+        for a in _reference_matrices():
+            upper, info = scipy_lapack.dpotrf(a.entries.T, lower=0, clean=1)
+            assert info == 0
+            assert densemat._cholesky_factor(a).tobytes("F") == upper.tobytes("F"), a.n
+            uinv, info = scipy_lapack.dtrtri(upper, lower=0, overwrite_c=1)
+            assert info == 0
+            assert cholesky_invert(a).entries.tobytes() == (uinv @ uinv.T).tobytes(), a.n
+            expected = scipy.linalg.eigh(a.entries, eigvals_only=True, subset_by_index=(0, 0))[0]
+            assert min_eigenvalue(a) == expected, a.n
 
 
 def test_min_eigenvalue_is_scipys_eigvalsh_bit_for_bit():

@@ -129,6 +129,18 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_scipy(path):
+    # LAPACK comes from the OpenBLAS numpy bundles; scipy is a test dependency
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module)
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
 # public name that no package module but __init__ references -> why it stays
 UNREFERENCED_PUBLIC = {
     "bipartition_crossing_oracle": "criterion 09 imports it",

@@ -200,18 +200,21 @@ def mask_components(mask) -> tuple[tuple[int, ...], ...]:
         raise ValueError("mask must be symmetric")
     n = mask.shape[0]
     seen = np.zeros(n, dtype=bool)
+    unseen = n
     components = []
     for start in range(n):  # each unseen start is the minimum of its component
         if seen[start]:
             continue
         seen[start] = True
+        unseen -= 1
         frontier = np.array([start])
         members = [frontier]
-        while frontier.size:
+        while frontier.size and unseen:  # no gather once every vertex is reached
             reached = mask[frontier].any(axis=0)
             reached &= ~seen
             frontier = np.flatnonzero(reached)
             seen[frontier] = True
+            unseen -= frontier.size
             members.append(frontier)
         components.append(tuple((np.sort(np.concatenate(members)) + 1).tolist()))
     return tuple(components)

@@ -16,7 +16,7 @@ import numpy as np
 from .densemat import REL_TOL_ZERO, SymMatrix, _band_signs, cholesky_invert, zero_threshold
 from .errors import AsymmetricSignMatrix, TooLarge
 from .graphs import mask_components, random_tree
-from .signpattern import MINUS, SignMatrix, sign_of
+from .signpattern import MINUS, SignMatrix, check_feasible, sign_of
 from .treesign import (
     TOL_RATIO,
     leaf_ratio_check,
@@ -150,24 +150,20 @@ def necessity_campaign(
 
     Each trial draws a size uniformly from ``n_range`` (inclusive) and a
     density uniformly from [0.3, 1.0] unless one is fixed, builds a random
-    irreducible DN matrix, inverts it, and fails the trial unless the inverse
-    sign pattern is symmetric with an all-plus diagonal and a connected
-    negative-sign graph.
+    irreducible DN matrix, inverts it, and fails the trial unless
+    :func:`check_feasible` accepts :func:`sign_of` of the inverse.
     """
 
     def trial(rng, n):
         dens = float(rng.uniform(*DENSITY_RANGE)) if density is None else density
-        inv = cholesky_invert(random_dn_matrix(n, dens, rng)).entries
-        minus = _band_signs(inv, zero_threshold(inv, rel_tol)) < 0
-        passed = (
-            np.array_equal(minus, minus.T)
-            and not minus.diagonal().any()
-            and len(mask_components(minus)) == 1
-        )
+        inverse = cholesky_invert(random_dn_matrix(n, dens, rng))
+        pattern = sign_of(inverse, rel_tol)
+        inv = inverse.entries
+        minus = pattern.signs == MINUS
         margins = {"min_diagonal_entry": float(inv.diagonal().min())}
         if minus.any():
             margins["min_minus_magnitude"] = -float(np.where(minus, inv, -np.inf).max())
-        return passed, margins
+        return check_feasible(pattern).feasible, margins
 
     return _run_trials(n_range, trials, seed, trial)
 

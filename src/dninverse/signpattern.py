@@ -173,7 +173,10 @@ def check_feasible(s: SignMatrix) -> FeasibilityReport:
     arr = s.signs
     symmetric_ok = s.is_symmetric
     diagonal_ok = bool((arr.diagonal() == PLUS).all())
-    components = mask_components((arr == MINUS) | (arr.T == MINUS))
+    minus = arr == MINUS
+    if not symmetric_ok:
+        minus |= minus.T
+    components = mask_components(minus)
     connected = len(components) == 1
     return FeasibilityReport(
         feasible=symmetric_ok and diagonal_ok and connected,

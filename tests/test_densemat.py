@@ -306,7 +306,8 @@ def test_the_bound_lapack_is_scipys_bit_for_bit(scipy_lapack):
             assert min_eigenvalue(a) == expected, a.n
 
 
-def test_min_eigenvalue_is_scipys_eigvalsh_bit_for_bit():
+def test_min_eigenvalue_is_scipys_eigvalsh_bit_for_bit(scipy_lapack):
+    # the fixture runs scipy's pool on one thread, as numpy's runs here
     a = random_dn_matrix(300, 1.0, seed=7)
     with single_blas_thread():
         assert min_eigenvalue(a) == scipy.linalg.eigvalsh(a.entries, subset_by_index=(0, 0))[0]

@@ -5,6 +5,7 @@ from dninverse import (
     MINUS,
     PLUS,
     AsymmetricSignMatrix,
+    FeasibilityReport,
     SignMatrix,
     SymMatrix,
     TooLarge,
@@ -225,6 +226,20 @@ def test_necessity_campaign_matches_a_trial_classified_through_the_pattern_api(r
         report = necessity_campaign(n_range, trials, seed=5, rel_tol=rel_tol)
         reference = _run_trials(n_range, trials, 5, _reference_necessity_trial(rel_tol))
         assert report.to_dict() == reference.to_dict()
+
+
+def test_necessity_campaign_takes_each_verdict_from_check_feasible(monkeypatch):
+    judged = []
+
+    def infeasible(pattern):
+        judged.append(pattern)
+        return FeasibilityReport(False, False, False, False, ())
+
+    monkeypatch.setattr(oracle, "check_feasible", infeasible)
+    report = necessity_campaign((2, 40), 12, seed=5)
+    assert report.failures == 12
+    assert report.failure_seeds == tuple(trial_seed(5, index) for index in range(12))
+    assert len(judged) == 12 and all(isinstance(p, SignMatrix) for p in judged)
 
 
 def test_necessity_campaign_validates_range():

@@ -424,8 +424,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # too large a size for this machine, not a negative answer
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 2
+        message = str(exc) or "out of memory"
+    # printed once the traceback, and with it the failed verb's frames and memory, is gone
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def run() -> None:

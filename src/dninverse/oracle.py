@@ -176,9 +176,9 @@ def tree_sign_campaign(
 ) -> CampaignReport:
     """Fuzz the two-coloring prediction on random tree-structured DN matrices.
 
-    A trial fails on a significant contradiction: a predicted-MINUS entry
-    above the zero threshold, a predicted-PLUS off-diagonal entry below its
-    negation, a nonpositive diagonal entry, or a failed leaf-ratio check.
+    A trial fails on a significant contradiction: an entry of the inverse whose
+    band sign is opposite to its predicted sign, a nonpositive diagonal entry,
+    or a failed leaf-ratio check.
     Off-diagonal entries whose true magnitude falls inside the threshold band
     carry no sign information at working precision, whatever their predicted
     color; they are tallied under ``ambiguous_minus_entries`` and
@@ -193,25 +193,20 @@ def tree_sign_campaign(
         a = random_tree_dn_matrix(g, rng)
         inverse = cholesky_invert(a)
         inv = inverse.entries
-        tol = zero_threshold(inv, rel_tol)
+        band = _band_signs(inv, zero_threshold(inv, rel_tol))
         predicted = predict_tree_sign_pattern(g).signs
-        signed = inv * predicted  # +inv where PLUS is predicted and -inv where MINUS is
-        # +1 where an entry agrees with its prediction, -1 where it contradicts it and
-        # 0 in the band: negation is exact, so this is inv's band times predicted
-        agreement = _band_signs(signed, tol)
         minus_mask = predicted == MINUS
         plus_off = ~minus_mask
         plus_off.flat[:: n + 1] = False  # the diagonal is PLUS and tested on its own
         diagonal = inv.diagonal()
-        contradiction = bool((agreement < 0).any() or (diagonal <= 0.0).any())
+        contradiction = bool((band == -predicted).any() or (diagonal <= 0.0).any())
         ratio_report = leaf_ratio_check(a, inverse, g, rel_tol=rel_tol)
-        in_band = agreement == 0
+        in_band = band == 0
         margins = {"min_diagonal_entry": float(diagonal.min())}
-        # -max(inv) over MINUS is min(-inv) over MINUS: the same float
         if minus_mask.any():
-            margins["min_minus_magnitude"] = float(np.where(minus_mask, signed, np.inf).min())
+            margins["min_minus_magnitude"] = -float(np.where(minus_mask, inv, -np.inf).max())
         if plus_off.any():
-            margins["min_plus_offdiag"] = float(np.where(plus_off, signed, np.inf).min())
+            margins["min_plus_offdiag"] = float(np.where(plus_off, inv, np.inf).min())
         deviations = [r.max_rel_deviation for r in ratio_report.ratios]
         if deviations:
             margins["ratio_deviation_headroom"] = TOL_RATIO - max(deviations)

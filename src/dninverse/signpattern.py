@@ -229,8 +229,8 @@ def random_feasible_sign_matrix(n: int, seed) -> SignMatrix:
     signs = np.full((n, n), PLUS, dtype=np.int8)
     if n >= 2:
         rng = np.random.default_rng(seed)
-        for i, j in random_tree(n, rng).edges:
-            signs[i - 1, j - 1] = signs[j - 1, i - 1] = MINUS
+        i, j = (random_tree(n, rng).edge_array - 1).T
+        signs[i, j] = signs[j, i] = MINUS
         extra = np.triu(rng.random((n, n)) < 0.5, k=1)
         signs[extra | extra.T] = MINUS
         np.fill_diagonal(signs, PLUS)

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -676,6 +677,33 @@ def test_running_out_of_memory_exits_2_with_one_error_line(error, line, monkeypa
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", line + "\n")
+
+
+def test_the_out_of_memory_line_is_written_after_the_failed_verb_is_freed(monkeypatch):
+    # while the handler runs, its traceback keeps the verb's frames and whatever
+    # exhausted memory alive, so writing the line there can raise MemoryError again
+    hoard = []
+
+    def exhausted(args):
+        held = np.zeros(1 << 16)
+        hoard.append(weakref.ref(held))
+        raise MemoryError
+
+    writes = []
+
+    class Stderr:
+        def write(self, text):
+            writes.append((text, hoard[0]() is None))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "_cmd_fuzz", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["fuzz", "--trials", "1", "--seed", "1"]) == 2
+    assert "".join(text for text, _ in writes) == "error: out of memory\n"
+    assert all(freed for _, freed in writes)
 
 
 def test_predict_on_a_huge_edgeless_graph_exits_1_without_adjacency(tmp_path, capsys):

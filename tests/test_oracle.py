@@ -6,6 +6,7 @@ from dninverse import (
     PLUS,
     AsymmetricSignMatrix,
     FeasibilityReport,
+    LeafRatioReport,
     SignMatrix,
     SymMatrix,
     TooLarge,
@@ -31,7 +32,9 @@ from dninverse import (
 )
 
 from dninverse import oracle
+from dninverse.densemat import _band_signs
 from dninverse.oracle import DENSITY_RANGE, RIDGE_FACTOR, _run_trials
+from dninverse.treesign import TOL_RATIO
 
 SPLIT = SignMatrix.from_rows(["+-++", "-+++", "+++-", "++-+"])
 
@@ -278,6 +281,72 @@ def test_tree_sign_campaign_tallies_in_band_entries_of_both_colors():
     assert counts[MINUS] > 0 and counts[PLUS] > 0
     assert report.min_margins["ambiguous_minus_entries"] == counts[MINUS]
     assert report.min_margins["ambiguous_plus_entries"] == counts[PLUS]
+
+
+def _reference_tree_trial(rel_tol):
+    """The tree trial classified through a product: the band of the inverse times
+    the predicted signs, which is negative where an entry contradicts its
+    prediction, with the margins taken over that product."""
+
+    def trial(rng, n):
+        g = random_tree(n, rng)
+        a = random_tree_dn_matrix(g, rng)
+        a_inv = cholesky_invert(a)
+        inv = a_inv.entries
+        predicted = oracle.predict_tree_sign_pattern(g).signs
+        signed = inv * predicted
+        agreement = _band_signs(signed, zero_threshold(inv, rel_tol))
+        minus = predicted == MINUS
+        plus_off = ~minus
+        np.fill_diagonal(plus_off, False)
+        ratios = oracle.leaf_ratio_check(a, a_inv, g, rel_tol=rel_tol)
+        passed = not (agreement < 0).any() and (inv.diagonal() > 0).all() and ratios.passed
+        margins = {"min_diagonal_entry": float(inv.diagonal().min())}
+        if minus.any():
+            margins["min_minus_magnitude"] = float(signed[minus].min())
+        if plus_off.any():
+            margins["min_plus_offdiag"] = float(signed[plus_off].min())
+        deviations = [r.max_rel_deviation for r in ratios.ratios]
+        if deviations:
+            margins["ratio_deviation_headroom"] = TOL_RATIO - max(deviations)
+        margins["ambiguous_minus_entries"] = int(((agreement == 0) & minus).sum())
+        margins["ambiguous_plus_entries"] = int(((agreement == 0) & plus_off).sum())
+        return bool(passed), margins
+
+    return trial
+
+
+def _all_offdiagonal_minus(g):
+    signs = np.full((g.n, g.n), MINUS)
+    np.fill_diagonal(signs, PLUS)
+    return SignMatrix(signs)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-12, 0.05, 0.5])
+def test_tree_sign_campaign_matches_a_trial_classified_through_the_product(rel_tol, monkeypatch):
+    # a wrong prediction drives trials to fail, so the contradiction path is
+    # compared as well as the passing one
+    summed = ("ambiguous_minus_entries", "ambiguous_plus_entries")
+    for wrong_prediction in (False, True):
+        if wrong_prediction:
+            monkeypatch.setattr(oracle, "predict_tree_sign_pattern", _all_offdiagonal_minus)
+        report = tree_sign_campaign((2, 60), 30, seed=9, rel_tol=rel_tol)
+        reference = _run_trials((2, 60), 30, 9, _reference_tree_trial(rel_tol), summed)
+        assert report.to_dict() == reference.to_dict()
+        if not wrong_prediction:
+            assert report.passed
+        elif rel_tol < 0.5:  # a band of half the largest entry holds every off-diagonal one
+            assert report.failures > 0
+
+
+def test_tree_sign_campaign_fails_every_trial_whose_leaf_ratio_check_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        return LeafRatioReport((), ("a leaf ratio off its parent's",))
+
+    monkeypatch.setattr(oracle, "leaf_ratio_check", failing)
+    report = tree_sign_campaign((2, 40), 12, seed=5)
+    assert report.failures == 12
+    assert report.failure_seeds == tuple(trial_seed(5, index) for index in range(12))
 
 
 def test_campaign_report_serializes():

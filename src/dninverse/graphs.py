@@ -3,10 +3,11 @@
 Small toolkit backing the matrix code: connectivity with a component
 certificate, BFS distances, and uniform random labeled trees. A graph is one
 sorted int edge array plus the package's only adjacency, per-vertex neighbour
-lists built on first use: the one BFS here, behind ``connected_components``,
-``bfs_distances`` and the tree layout of ``treesign``, walks them, and so do
-the neighbour queries. The dense callers, which already hold an n x n
-boolean mask, skip the edge list: ``mask_components`` walks the mask itself.
+lists built on first use. The one BFS here walks them: once per graph into a
+memoized breadth-first forest, which ``connected_components`` and the tree
+checks of ``treesign`` read, and afresh for ``bfs_distances``. The dense
+callers, which already hold an n x n boolean mask, skip the edge list:
+``mask_components`` walks the mask itself.
 """
 
 from __future__ import annotations
@@ -86,13 +87,13 @@ class UGraph:
     graph keeps one canonical int64 edge array (rows i < j, sorted, no
     duplicates), so equality and hashing compare edge sets. ``_adj`` is the
     adjacency, built on first use: ``_adj[v]`` lists the neighbours of v in
-    ascending order (``_adj[0]`` is empty), and the neighbour queries, the BFS
-    and the tree layout all read it. ``_tree`` memoizes the validated tree
-    layout that ``treesign`` builds on first use (``False`` for a non-tree).
-    Both are derived from the edges and take no part in equality or hashing.
+    ascending order (``_adj[0]`` is empty), and the neighbour queries and the
+    BFS read it. ``_forest`` is the breadth-first forest, walked on first use
+    by :func:`_walk`, the only code that touches it. Both are derived from the
+    edges and take no part in equality or hashing.
     """
 
-    __slots__ = ("_n", "_edges", "_adj", "_tree")
+    __slots__ = ("_n", "_edges", "_adj", "_forest")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()) -> None:
         if n < 1:
@@ -100,7 +101,7 @@ class UGraph:
         self._n = n
         self._edges = _canonical_edges(n, edges)
         self._adj = None
-        self._tree = None
+        self._forest = None
 
     @property
     def n(self) -> int:
@@ -170,15 +171,29 @@ class Connectivity(NamedTuple):
     components: tuple[tuple[int, ...], ...]
 
 
+class _Forest(NamedTuple):
+    """A graph's breadth-first forest: each component walked from its minimum vertex."""
+
+    depth: list[int]  # depth by vertex number, from its component's minimum
+    components: tuple[tuple[int, ...], ...]  # each sorted, ordered by minimum vertex
+
+
+def _walk(g: UGraph) -> _Forest:
+    """The forest memoized on ``g``, walked on first use; callers must not modify it."""
+    if g._forest is None:
+        depth = [-1] * (g.n + 1)  # shared by the walks, so each vertex is reached once
+        components = []
+        for v in range(1, g.n + 1):  # each unreached v is the minimum of its component
+            if depth[v] < 0:
+                order, _ = _bfs(g, v, depth)
+                components.append(tuple(sorted(order)))
+        g._forest = _Forest(depth, tuple(components))
+    return g._forest
+
+
 def connected_components(g: UGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    depth = [-1] * (g.n + 1)  # shared by the walks, so each vertex is reached once
-    components = []
-    for v in range(1, g.n + 1):  # each unreached v is the minimum of its component
-        if depth[v] < 0:
-            order, _ = _bfs(g, v, depth)
-            components.append(tuple(sorted(order)))
-    return tuple(components)
+    return _walk(g).components
 
 
 def mask_components(mask) -> tuple[tuple[int, ...], ...]:

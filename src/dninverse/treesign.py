@@ -6,10 +6,9 @@ different colors in the tree's two-coloring, equivalently when their tree
 distance is odd. This module provides the prediction, the leaf-attachment
 rank-one inverse update that drives the induction behind it, the proportional
 leaf-column property, and a generator of random tree-structured instances.
-A graph is validated as a tree once, by one BFS from vertex 1 over its
-neighbour lists, into a layout memoized on the graph: the parities of the BFS
-depths are the two-coloring, and the one-element lists give the leaves and
-their neighbors.
+A graph is a tree when it has n - 1 edges and is connected; connectivity and
+the two-coloring, the parities of the BFS depths from vertex 1, both read the
+breadth-first forest that ``graphs`` walks once per graph and memoizes.
 """
 
 from __future__ import annotations
@@ -22,12 +21,17 @@ import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import DimensionMismatch, NotATree, SchurNotPositiveDefinite
-from .graphs import UGraph, _bfs, bfs_distances
+from .graphs import UGraph, _walk, bfs_distances, is_connected
 from .signpattern import MINUS, PLUS, SignMatrix, _sign_text
 
 TOL_RATIO = 1e-8
 SCHUR_FLOOR = 1e-12
 RATIO_SKIP_FACTOR = 1e3
+
+
+def _check_vertex(n: int, v: int) -> None:
+    if not (1 <= v <= n):
+        raise ValueError(f"vertex {v} out of range 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -41,66 +45,38 @@ class TwoColoring:
         return len(self.colors)
 
     def color_of(self, v: int) -> int:
+        _check_vertex(self.n, v)
         return self.colors[v - 1]
 
     def differ(self, i: int, j: int) -> bool:
-        return self.colors[i - 1] != self.colors[j - 1]
-
-
-@dataclass(frozen=True, eq=False)
-class _TreeLayout:
-    """A graph validated as a tree by one BFS from vertex 1; arrays are 0-based."""
-
-    parity: np.ndarray  # int8 BFS depth parity, the two-coloring
-    leaves: np.ndarray  # degree-1 vertices, ascending
-    leaf_nbrs: np.ndarray  # the one neighbor of each leaf
-
-
-def _build_layout(g: UGraph) -> _TreeLayout | bool:
-    """The layout of ``g``, or False when ``g`` is not a tree."""
-    n = g.n
-    if g.edge_count != n - 1:
-        return False
-    # with n - 1 edges, reaching every vertex from vertex 1 makes g a tree
-    order, depth = _bfs(g, 1)
-    if len(order) != n:
-        return False
-    # depths reach n - 1, so take the parity before narrowing to int8
-    parity = (np.array(depth[1:]) & 1).astype(np.int8)
-    adj = g._adjacency()
-    leaves = [v for v in range(1, n + 1) if len(adj[v]) == 1]
-    leaf_nbrs = [adj[v][0] for v in leaves]
-    return _TreeLayout(
-        parity, np.array(leaves, dtype=np.intp) - 1, np.array(leaf_nbrs, dtype=np.intp) - 1
-    )
-
-
-def _tree_layout(g: UGraph) -> _TreeLayout | bool:
-    """The layout memoized on ``g``: built on first use, False for a non-tree."""
-    if g._tree is None:
-        g._tree = _build_layout(g)
-    return g._tree
-
-
-def _require_tree(g: UGraph) -> _TreeLayout:
-    layout = _tree_layout(g)
-    if layout is False:
-        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
-    return layout
+        return self.color_of(i) != self.color_of(j)
 
 
 def is_tree(g: UGraph) -> bool:
-    return _tree_layout(g) is not False
+    # the edge count comes first, so a graph with the wrong count is never walked
+    return g.edge_count == g.n - 1 and is_connected(g).connected
+
+
+def _require_tree(g: UGraph) -> None:
+    if not is_tree(g):
+        raise NotATree(f"graph with {g.n} vertices and {g.edge_count} edges is not a tree")
+
+
+def _tree_parity(g: UGraph) -> np.ndarray:
+    """The two-coloring as int8 BFS depth parities from vertex 1, by 0-based vertex."""
+    _require_tree(g)
+    # one component, walked from vertex 1; depths reach n - 1: take the parity, then narrow
+    return (np.array(_walk(g).depth[1:], dtype=np.intp) & 1).astype(np.int8)
 
 
 def two_coloring(g: UGraph) -> TwoColoring:
     """Two-coloring by BFS layer parity from vertex 1. Raises NotATree otherwise."""
-    return TwoColoring(tuple(_require_tree(g).parity.tolist()))
+    return TwoColoring(tuple(_tree_parity(g).tolist()))
 
 
 def predict_tree_sign_pattern(g: UGraph) -> SignMatrix:
     """Inverse sign pattern forced by a tree: MINUS where the two-coloring differs."""
-    parity = _require_tree(g).parity
+    parity = _tree_parity(g)
     signs = parity[:, None] ^ parity[None, :]  # int8: 1 where the colors differ
     signs *= MINUS - PLUS
     signs += PLUS
@@ -114,7 +90,7 @@ def predict_tree_sign_rows(g: UGraph) -> list[str]:
     only two distinct rows, one per color, so the list holds n references to
     two strings instead of n^2 characters. Raises NotATree otherwise.
     """
-    parity = _require_tree(g).parity
+    parity = _tree_parity(g)
     signs = np.stack((parity, parity ^ 1))  # row c: 1 where a color differs from c
     signs *= MINUS - PLUS
     signs += PLUS
@@ -128,6 +104,7 @@ def odd_distance_predicate(g: UGraph, i: int, j: int) -> bool:
     _require_tree(g)
     if i == j:
         raise ValueError("vertices must be distinct")
+    _check_vertex(g.n, j)  # bfs_distances checks i
     return bfs_distances(g, i)[j] % 2 == 1
 
 
@@ -263,7 +240,7 @@ def leaf_ratio_check(
     are skipped as numerically uninformative; leaves with no comparable rows
     (the 2 x 2 case) contribute nothing.
     """
-    layout = _require_tree(g)
+    _require_tree(g)
     if a.n != g.n or a_inverse.n != g.n:
         raise DimensionMismatch(
             f"matrix sizes {a.n}, {a_inverse.n} do not match graph size {g.n}"
@@ -272,10 +249,16 @@ def leaf_ratio_check(
     floor = RATIO_SKIP_FACTOR * zero_threshold(inv, rel_tol)
     if g.n < 3:
         return LeafRatioReport((), ())
+    # the degree-1 vertices, ascending, and each one's neighbor, 0-based: each
+    # endpoint is given the other end of its row, and a leaf has only one row
+    edges = g.edge_array - 1
+    nbr = np.empty(g.n, dtype=np.intp)
+    nbr[edges.ravel()] = edges[:, ::-1].ravel()
+    leaves = np.flatnonzero(np.bincount(edges.ravel(), minlength=g.n) == 1)
+    nbrs = nbr[leaves]
     # one row per leaf: the leaf's inverse column against its neighbor's, read
     # as rows since the inverse is exactly symmetric, compared on every entry
     # except those two
-    leaves, nbrs = layout.leaves, layout.leaf_nbrs
     rows = np.arange(leaves.size)
     x = inv[leaves]
     y = inv[nbrs]

@@ -321,8 +321,13 @@ def test_ugraph_builds_adjacency_only_on_demand():
     g = UGraph(4, np.array([[4, 1], [2, 3], [1, 4]]))
     assert g.edges == ((1, 4), (2, 3))
     assert g._adj is None  # adjacency is built only when a caller walks it
+    assert g._forest is None
     assert g.neighbors(1) == frozenset({4})
     assert g._adj is not None
+    assert bfs_distances(g, 2) == {2: 0, 3: 1}
+    assert g._forest is None  # neither a neighbour query nor bfs_distances walks the forest
+    assert connected_components(g) == ((1, 4), (2, 3))
+    assert g._forest is not None
     assert g == UGraph(4, [(2, 3), (1, 4)])
 
 

@@ -144,8 +144,6 @@ def test_no_module_imports_scipy(path):
 # public name that no package module but __init__ references -> why it stays
 UNREFERENCED_PUBLIC = {
     "bipartition_crossing_oracle": "criterion 09 imports it",
-    "is_connected": "criterion 09 imports it; a bench tracer target",
-    "is_tree": "tests only; a bench tracer target",
     "leaf_attach_inverse_update": "criterion 08 imports it",
     "matrix_graph": "criterion 10 imports it; a bench tracer target",
     "negative_sign_graph": "criterion 09 imports it; a bench tracer target",
@@ -181,7 +179,7 @@ def test_a_public_name_no_module_references_is_on_the_allow_list():
 # package's only reaches across a module boundary
 PRIVATE_IMPORTS = {
     ("densemat", "_band_signs"): {"oracle", "signpattern"},
-    ("graphs", "_bfs"): {"treesign"},
+    ("graphs", "_walk"): {"treesign"},
     ("signpattern", "_sign_text"): {"treesign"},
 }
 
@@ -207,13 +205,12 @@ def test_a_private_name_crosses_a_module_boundary_only_where_the_allow_list_says
 
 
 # (defining module, class, private attribute) -> the other modules allowed to
-# reach it. SymMatrix._inverse is left out on purpose: only densemat may touch
-# the memo of cholesky_invert.
+# reach it. SymMatrix._inverse and UGraph._forest are left out on purpose: only
+# densemat may touch the memo of cholesky_invert, and only graphs the memoized
+# breadth-first forest.
 PRIVATE_ATTRIBUTES = {
     ("densemat", "SymMatrix", "_trusted"): {"fileio", "oracle", "signpattern", "treesign"},
     ("signpattern", "SignMatrix", "_trusted"): {"treesign"},
-    ("graphs", "UGraph", "_adjacency"): {"treesign"},
-    ("graphs", "UGraph", "_tree"): {"treesign"},
 }
 
 

@@ -20,6 +20,7 @@ from dninverse import (
     UGraph,
     bfs_distances,
     cholesky_invert,
+    connected_components,
     is_tree,
     leaf_attach_inverse_update,
     leaf_ratio_check,
@@ -34,8 +35,7 @@ from dninverse import (
     verify_doubly_nonnegative,
     zero_threshold,
 )
-from dninverse import treesign
-from dninverse.treesign import _tree_layout
+from dninverse import graphs, treesign
 from exact_tree_inverse import exact_inverse_column
 
 PATH3 = UGraph(3, [(1, 2), (2, 3)])
@@ -113,6 +113,21 @@ def test_odd_distance_predicate():
         odd_distance_predicate(PATH3, 2, 2)
     with pytest.raises(NotATree):
         odd_distance_predicate(TRIANGLE, 1, 2)
+
+
+@pytest.mark.parametrize("i, j", [(1, 5), (5, 1), (0, 2), (2, 0), (-1, 2), (2, -1), (4, 1)])
+def test_odd_distance_predicate_rejects_a_vertex_out_of_range(i, j):
+    bad = i if not 1 <= i <= 3 else j
+    with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.3$"):
+        odd_distance_predicate(PATH3, i, j)
+
+
+@pytest.mark.parametrize("v", [0, -1, 4])
+def test_two_coloring_rejects_a_vertex_out_of_range(v):
+    coloring = two_coloring(PATH3)
+    for call in (lambda: coloring.color_of(v), lambda: coloring.differ(v, 1), lambda: coloring.differ(1, v)):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.3$"):
+            call()
 
 
 def test_odd_distance_agrees_with_coloring():
@@ -482,18 +497,93 @@ def _reference_layout(g):
 
 
 def test_tree_layout_matches_a_networkx_and_bfs_distances_reference():
+    # the two-coloring read off the forest, and the leaves and their
+    # neighbours that leaf_ratio_check takes from the edge array
     trees = 0
     for g in _graphs_with_n_minus_1_edges(np.random.default_rng(51)):
         expected = _reference_layout(g)
         assert is_tree(g) == (expected is not None)
         if expected is None:
-            assert _tree_layout(g) is False
+            with pytest.raises(NotATree):
+                two_coloring(g)
             continue
         trees += 1
-        layout = _tree_layout(g)
-        got = (layout.parity.tolist(), (layout.leaves + 1).tolist(), (layout.leaf_nbrs + 1).tolist())
-        assert got == expected
+        parity, leaves, leaf_nbrs = expected
+        assert list(two_coloring(g).colors) == parity
+        if g.n >= 3:  # below, no leaf has a row to compare
+            a = random_tree_dn_matrix(g, trees)
+            report = leaf_ratio_check(a, cholesky_invert(a), g)
+            assert [(r.leaf, r.parent) for r in report.ratios] == list(zip(leaves, leaf_nbrs))
     assert trees > 60
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """The source of every graphs._bfs walk from here on, in call order."""
+    walks = []
+    bfs = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda g, source, *rest: walks.append(source) or bfs(g, source, *rest))
+    return walks
+
+
+def test_one_graph_is_walked_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    g = random_tree(40, 3)
+    a = random_tree_dn_matrix(g, 3)
+    inv = cholesky_invert(a)
+    predict_tree_sign_pattern(g)
+    predict_tree_sign_rows(g)
+    two_coloring(g)
+    leaf_ratio_check(a, inv, g)
+    assert is_tree(g)
+    assert len(connected_components(g)) == 1
+    assert walks == [1]  # one walk, from vertex 1
+
+
+def test_a_forest_is_walked_once_per_component(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    g = UGraph(6, [(2, 5), (5, 6), (3, 4)])
+    for _ in range(2):  # the second round reads the memo
+        assert connected_components(g) == ((1,), (2, 5, 6), (3, 4))
+        assert not is_tree(g)
+    assert walks == [1, 2, 3]  # each component from its minimum vertex
+    assert not is_tree(UGraph(6, [(1, 2)]))  # the edge count rules it out unwalked
+    assert walks == [1, 2, 3]
+
+
+def _labelled_trees(n):
+    """Every labelled tree on vertices 1..n, n >= 3, one per Pruefer sequence."""
+    for seq in itertools.product(range(n), repeat=n - 2):
+        yield UGraph(n, [(i + 1, j + 1) for i, j in networkx.from_prufer_sequence(list(seq)).edges])
+
+
+def test_census_of_theorem_2_on_every_labelled_tree_up_to_six_vertices():
+    count = 0
+    for n in range(3, 7):
+        for g in _labelled_trees(n):
+            count += 1
+            assert is_tree(g)
+            coloring = two_coloring(g)
+            assert all(coloring.differ(i, j) for i, j in g.edges)
+            arr = random_tree_dn_matrix(g, count).entries
+            # column k of the symmetric inverse is its row k
+            exact = [[(y > 0) - (y < 0) for y in exact_inverse_column(arr, k)[0]] for k in range(n)]
+            assert predict_tree_sign_pattern(g).signs.tolist() == exact
+    assert count == 3 + 4**2 + 5**3 + 6**4
+
+
+def test_census_of_is_tree_and_components_on_every_graph_with_n_minus_1_edges():
+    count = 0
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for edges in itertools.combinations(pairs, n - 1):
+            count += 1
+            g = UGraph(n, edges)
+            nxg = networkx.Graph(edges)
+            nxg.add_nodes_from(range(1, n + 1))
+            assert is_tree(g) == networkx.is_tree(nxg)
+            expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(nxg))
+            assert connected_components(g) == tuple(expected)
+    assert count == 1 + 1 + 3 + 20 + 210 + 3003
 
 
 def test_non_tree_memo_does_not_leak():

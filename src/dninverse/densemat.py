@@ -143,7 +143,9 @@ class SymMatrix:
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         scale = float(np.abs(arr).max())
-        asym = float(np.abs(arr - arr.T).max())
+        # mirrors of opposite sign may differ past the float maximum: inf, rejected
+        with np.errstate(over="ignore"):
+            asym = float(np.abs(arr - arr.T).max())
         if asym > REL_SYM_TOL * scale:
             raise AsymmetricMatrix(
                 f"asymmetry {asym:.3e} exceeds {REL_SYM_TOL:g} * max|entry| = "

@@ -397,7 +397,7 @@ def write_sign_matrix(path, s: SignMatrix | Sequence[str], comment: str | None =
 def read_graph(path) -> UGraph:
     """Parse an edge-list graph file with 1-indexed endpoints."""
     lines = _content_lines(path)
-    _, n = _read_size(path, lines)
+    size_line, n = _read_size(path, lines)
     edges = []
     seen = set()
     for line_no, text in lines:
@@ -419,7 +419,10 @@ def read_graph(path) -> UGraph:
             raise ParseError(path, line_no, f"duplicate edge ({i}, {j})")
         seen.add(key)
         edges.append((i, j))
-    return UGraph(n, edges)
+    try:
+        return UGraph(n, edges)
+    except ValueError as exc:  # the edges passed above: only the size is left to reject
+        raise ParseError(path, size_line, str(exc)) from None
 
 
 def write_graph(path, g: UGraph, comment: str | None = None) -> None:

@@ -7,7 +7,8 @@ lists built on first use. The one BFS here walks them: once per graph into a
 memoized breadth-first forest, which ``connected_components`` and the tree
 checks of ``treesign`` read, and afresh for ``bfs_distances``. The dense
 callers, which already hold an n x n boolean mask, skip the edge list:
-``mask_components`` walks the mask itself.
+``mask_components`` walks the mask itself, trusting it to be square and
+symmetric as each of them builds it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -147,8 +147,7 @@ class UGraph:
     def has_edge(self, i: int, j: int) -> bool:
         row = self._neighbor_list(i)
         self._check_vertex(j)
-        k = bisect_left(row, j)
-        return k < len(row) and row[k] == j
+        return j in row
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self._n):
@@ -205,14 +204,10 @@ def mask_components(mask) -> tuple[tuple[int, ...], ...]:
     Each component is one frontier BFS whose step ORs the frontier's rows, so
     the number of numpy calls grows with the graph's diameter: a 2000-vertex
     path takes about 2000 steps, where the dense masks of DN matrices and of
-    their inverse patterns take a handful. Raises ValueError unless ``mask``
-    is square and symmetric.
+    their inverse patterns take a handful. The mask must be square and
+    symmetric, as every caller builds it; it is not checked.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-        raise ValueError(f"expected a square mask, got shape {mask.shape}")
-    if not np.array_equal(mask, mask.T):
-        raise ValueError("mask must be symmetric")
     n = mask.shape[0]
     seen = np.zeros(n, dtype=bool)
     unseen = n
@@ -275,10 +270,8 @@ def random_tree(n: int, seed) -> UGraph:
         raise ValueError(f"vertex count must be at least 1, got {n}")
     if n == 1:
         return UGraph(1)
-    if n == 2:
-        return UGraph(2, [(1, 2)])
     rng = np.random.default_rng(seed)
-    seq = rng.integers(1, n + 1, size=n - 2)
+    seq = rng.integers(1, n + 1, size=n - 2)  # empty for n = 2: no draw, one edge
     degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]  # ascending, so a heap
     popped = []

@@ -45,6 +45,10 @@ def test_construction_symmetrizes_small_noise():
 def test_construction_rejects_real_asymmetry():
     with pytest.raises(AsymmetricMatrix):
         SymMatrix([[1.0, 0.2], [0.1, 1.0]])
+    # mirrors of opposite sign whose difference overflows: no overflow warning
+    big = np.finfo(float).max
+    with pytest.raises(AsymmetricMatrix, match="asymmetry inf"):
+        SymMatrix([[1e308, -big], [1e308, -big]])
 
 
 def test_construction_rejects_bad_shapes_and_values():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,8 +24,16 @@ from dninverse import (
     write_sign_matrix,
 )
 from dninverse import fileio
+from dninverse.cli import main
 from dninverse.errors import AsymmetricMatrix
 from dninverse.fileio import _content_lines, _no_trailing, _read_size
+from dninverse.graphs import MAX_KEYED_VERTICES
+
+
+# mirrored entries of opposite sign whose difference is beyond the float maximum
+_OVERFLOWING_ASYMMETRY = "2\n1e308 -1.7976931348623157e308\n1e308 -1.7976931348623157e308\n"
+# a size whose edge keys do not fit in an int64, with an edge
+_EDGES_BEYOND_THE_VERTEX_LIMIT = "4000000000\n1 2\n"
 
 
 def reference_read_matrix(path) -> SymMatrix:
@@ -109,6 +117,9 @@ def test_matrix_reader_rejects_asymmetry(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2\n1 0.25\n0.5 1\n")
     with pytest.raises(ParseError, match="asymmetry"):
+        read_matrix(path)
+    path.write_text(_OVERFLOWING_ASYMMETRY)
+    with pytest.raises(ParseError, match="asymmetry inf"):
         read_matrix(path)
 
 
@@ -607,6 +618,11 @@ def test_graph_reader_errors(tmp_path):
     with pytest.raises(ParseError):
         read_graph(path)
 
+    path.write_text(_EDGES_BEYOND_THE_VERTEX_LIMIT)
+    with pytest.raises(ParseError, match="at most 3037000498 vertices") as info:
+        read_graph(path)
+    assert (info.value.path, info.value.line_no) == (str(path), 1)  # the size line
+
 
 def test_empty_file_reports_whole_file(tmp_path):
     path = tmp_path / "g.txt"
@@ -658,3 +674,45 @@ def test_readers_accept_utf8_comments_and_crlf_line_ends(tmp_path):
     path = tmp_path / "m.txt"
     path.write_bytes("# caf\u00e9 \u2212 ok\r\n2\r\n1 0.5\r\n0.5 1\r\n".encode("utf-8"))
     assert read_matrix(path) == SymMatrix([[1.0, 0.5], [0.5, 1.0]])
+
+
+_NUMBER_TOKENS = "0 1 -1 1.5 1e308 -1.7976931348623157e308 5e-324 nan inf -0.0".split()
+
+
+@st.composite
+def _reader_texts(draw):
+    """File texts at the readers' edges: a size line of 1..3 or beyond the vertex
+    limit, then rows of numeric tokens, rows of '+'/'-'/'x' and edge lines over
+    vertices 1..4, each kind of body as likely as the others, or a mix."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([n, MAX_KEYED_VERTICES + 1]))
+    numbers = st.lists(st.sampled_from(_NUMBER_TOKENS), min_size=n, max_size=n).map(" ".join)
+    signs = st.text("+-x", min_size=n, max_size=n)
+    edges = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda e: f"{e[0]} {e[1]}")
+    body = draw(
+        st.one_of(
+            st.lists(numbers, min_size=n, max_size=n),
+            st.lists(signs, min_size=n, max_size=n),
+            st.lists(edges, max_size=4),
+            st.lists(st.one_of(numbers, signs, edges), max_size=4),
+        )
+    )
+    return "".join(f"{line}\n" for line in [size, *body])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reader_texts())
+@example(_OVERFLOWING_ASYMMETRY)
+@example(_EDGES_BEYOND_THE_VERTEX_LIMIT)
+def test_readers_return_their_type_or_raise_parse_error_and_the_verbs_exit_0_1_or_2(
+    tmp_path_factory, text
+):
+    path = tmp_path_factory.getbasetemp() / "input.txt"
+    path.write_text(text)
+    for reader, kind in ((read_matrix, SymMatrix), (read_sign_matrix, SignMatrix), (read_graph, UGraph)):
+        try:
+            assert isinstance(reader(path), kind)
+        except ParseError as exc:
+            assert exc.path == str(path)
+    for verb in ("verify", "check", "predict"):
+        assert main([verb, str(path)]) in (0, 1, 2)

@@ -79,13 +79,12 @@ def _openblas():
 def single_blas_thread():
     """Run the block with numpy's OpenBLAS pool on one thread, then restore its count.
 
-    The matrices here are small enough that a second BLAS thread costs more
-    in wake-ups than it saves. The thread count is process-wide, so only
-    entry points use this. The pool is left alone when OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS is set, and nothing happens under another BLAS build.
+    A second BLAS thread costs more in wake-ups than it saves at these sizes,
+    and one count gives the same last bits in any environment. The count is
+    process-wide, so only entry points use this. Under another BLAS: a no-op.
     """
     lib = _openblas()
-    if lib is None or "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+    if lib is None:
         yield
         return
     saved = lib.scipy_openblas_get_num_threads64_()
@@ -321,8 +320,8 @@ def min_eigenvalue(a: SymMatrix) -> float:
     the first by index); ``numpy.linalg.eigvalsh`` when numpy bundles no OpenBLAS.
 
     A LAPACK failure raises :class:`NotConverged`. The last bits depend on the
-    thread count of numpy's OpenBLAS pool, so only inside
-    :func:`single_blas_thread` do they match a verb's.
+    thread count of numpy's OpenBLAS pool: inside :func:`single_blas_thread`,
+    as every verb runs, they are the same in any environment.
     """
     lib = _openblas()
     if lib is None:

@@ -45,13 +45,13 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
         arr = edges
     else:
         edges = list(edges)
-        arr = np.asarray(edges)
+        arr = np.asarray(edges) if edges else np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
     if arr.size == 0:
         arr = np.empty((0, 2), dtype=np.int64)
         arr.setflags(write=False)
         return arr
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"edges must be (i, j) pairs, got an array of shape {arr.shape}")
     if n > MAX_KEYED_VERTICES:
         raise ValueError(f"a graph with edges has at most {MAX_KEYED_VERTICES} vertices, got {n}")
     if arr.dtype.kind not in "iu":
@@ -266,10 +266,8 @@ def random_tree(n: int, seed) -> UGraph:
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including an
     existing Generator to draw from.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be at least 1, got {n}")
-    if n == 1:
-        return UGraph(1)
+    if n <= 1:
+        return UGraph(n)
     rng = np.random.default_rng(seed)
     seq = rng.integers(1, n + 1, size=n - 2)  # empty for n = 2: no draw, one edge
     degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()

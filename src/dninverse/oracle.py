@@ -121,6 +121,8 @@ def _run_trials(n_range, trials, seed, trial, summed=()) -> CampaignReport:
     lo, hi = n_range
     if not 2 <= lo <= hi:
         raise ValueError(f"size range must satisfy 2 <= lo <= hi, got {n_range}")
+    if trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials}")
     failures = []
     margins: dict[str, float] = {}
     totals = dict.fromkeys(summed, 0)

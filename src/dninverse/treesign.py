@@ -128,10 +128,9 @@ class LeafAttachment:
             raise ValueError(
                 f"attach vertex {self.attach_vertex} out of range 1..{self.base.n}"
             )
-        if self.edge_weight <= 0.0:
-            raise ValueError(f"edge weight must be positive, got {self.edge_weight}")
-        if self.new_diagonal <= 0.0:
-            raise ValueError(f"new diagonal must be positive, got {self.new_diagonal}")
+        for name, value in (("edge weight", self.edge_weight), ("new diagonal", self.new_diagonal)):
+            if not 0.0 < value < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def attached_matrix(self) -> SymMatrix:
         k = self.base.n

@@ -537,11 +537,9 @@ def _pool_count():
 
 
 @pytest.fixture
-def blas_pool(monkeypatch):
+def blas_pool():
     """numpy's OpenBLAS pool with its thread count raised to two (as far as the
     machine allows), restored afterwards; the count it has then."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
     lib = densemat._openblas()
     if lib is None:
         pytest.skip("numpy bundles no OpenBLAS")
@@ -578,12 +576,28 @@ def test_main_restores_the_pools_when_a_verb_fails(blas_pool, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-def test_main_leaves_the_pools_alone_under_a_thread_variable(blas_pool, monkeypatch, name):
+def test_main_pins_the_pools_under_a_thread_variable(blas_pool, monkeypatch, name):
+    # the variable sets OpenBLAS's count at load; a verb runs one thread all the same
     seen = []
     monkeypatch.setenv(name, "2")
     monkeypatch.setattr(cli, "_cmd_check", _recording_check(seen))
     assert main(["check", str(FIXTURES / "path3.signs")]) == 0
-    assert seen == [blas_pool]
+    assert seen == [1]
+    assert _pool_count() == blas_pool
+
+
+def test_dense_fuzz_prints_the_golden_report_under_either_thread_variable():
+    # Two OpenBLAS threads move the last bits of this campaign's margins (a
+    # relative 9e-6 in min_minus_magnitude), so a verb pins one thread in
+    # every environment. A fresh interpreter, since the variables are read
+    # when OpenBLAS loads.
+    argv = ["fuzz", "--theorem", "1", "--trials", "40", "--seed", "7"]
+    argv += ["--n-min", "100", "--n-max", "300", "--json"]
+    code = "import sys; from dninverse.cli import main; sys.exit(main(sys.argv[1:]))"
+    golden = (FIXTURES / "fuzz_theorem1_seed7_n100_300.json").read_text().strip()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env = {key: value for key, value in os.environ.items() if "NUM_THREADS" not in key}
+        assert _fresh_python(code, *argv, env={**env, name: "2"}) == golden, name
 
 
 def test_nested_blocks_keep_the_pool_pinned_until_the_outer_block_ends(blas_pool):
@@ -635,8 +649,6 @@ def _json_outputs(argv, tmp_path, capsys, number=float):
 def test_main_runs_when_no_openblas_is_found(monkeypatch, tmp_path, capsys):
     # under a numpy that bundles no OpenBLAS the kernels are numpy.linalg's and
     # nothing is pinned: the last bits may move, the answers do not
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
     calls = [
         ["verify", str(FIXTURES / "path3_matrix.txt"), "--json"],
         ["verify", str(FIXTURES / "nonunique_pair_n4-a.txt"), "--json"],

@@ -92,6 +92,12 @@ def test_random_tree_smallest_sizes():
     assert random_tree(2, 0).edges == ((1, 2),)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_tree_rejects_a_size_below_one_as_ugraph_does(n):
+    with pytest.raises(ValueError, match=rf"^vertex count must be at least 1, got {n}$"):
+        random_tree(n, 0)
+
+
 def test_random_tree_is_always_a_tree():
     for seed in range(20):
         for n in (3, 7, 23, 60):
@@ -294,6 +300,22 @@ def test_ugraph_rejects_edge_arrays_of_non_integer_dtype(dtype):
         UGraph(3, np.array([[1, 2]]).astype(dtype))
     with pytest.raises(TypeError, match="integer dtype"):
         UGraph(3, np.empty((0, 2), dtype=dtype))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[()], [[]], ((),), np.empty((5, 0), dtype=np.int64), np.empty((0, 3), dtype=np.int64),
+     np.empty(0, dtype=np.int64), np.empty((0, 2, 1), dtype=np.int64)],
+)
+def test_ugraph_rejects_malformed_empty_edge_input(edges):
+    with pytest.raises(ValueError, match=r"^edges must be \(i, j\) pairs, got an array of shape "):
+        UGraph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [(), [], iter([]), np.empty((0, 2), dtype=np.int32)])
+def test_ugraph_takes_an_empty_iterable_or_a_0_by_2_array_as_no_edges(edges):
+    g = UGraph(3, edges)
+    assert g.edges == () and g.edge_array.shape == (0, 2) and g.edge_array.dtype == np.int64
 
 
 def test_ugraph_accepts_unsigned_arrays_and_numpy_integers():

@@ -252,6 +252,13 @@ def test_necessity_campaign_validates_range():
         necessity_campaign((6, 5), 10, seed=0)
 
 
+@pytest.mark.parametrize("campaign", [necessity_campaign, tree_sign_campaign])
+def test_campaigns_reject_a_negative_trial_count(campaign):
+    # as the CLI's --trials does; range(-1) would report trials=-1 and pass
+    with pytest.raises(ValueError, match=r"^trial count must be nonnegative, got -1$"):
+        campaign((2, 3), -1, 0)
+
+
 def test_tree_sign_campaign_passes_and_reproduces():
     report = tree_sign_campaign((2, 30), 40, seed=13)
     assert report.passed

@@ -149,6 +149,16 @@ def test_leaf_attachment_validation():
         LeafAttachment(base, 1, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_leaf_attachment_rejects_non_finite_weights_and_diagonals(bad):
+    # rejected where they enter, not later as a finiteness or Schur error
+    base = SymMatrix([[2.0]])
+    with pytest.raises(ValueError, match=r"^edge weight must be positive and finite, got "):
+        LeafAttachment(base, 1, bad, 2.0)
+    with pytest.raises(ValueError, match=r"^new diagonal must be positive and finite, got "):
+        LeafAttachment(base, 1, 1.0, bad)
+
+
 def test_leaf_attachment_assembles_extended_matrix():
     att = LeafAttachment(PATH3_MATRIX, 3, 0.5, 4.0)
     expected = np.array(

@@ -166,28 +166,39 @@ def _cmd_witness(args) -> int:
     return 0 if ok else 1
 
 
+def _tree_distances(g):
+    """Each vertex i < n with its distances to the vertices i + 1..n, in that order."""
+    for i in range(1, g.n):
+        dist = bfs_distances(g, i)
+        yield i, [dist[j] for j in range(i + 1, g.n + 1)]
+
+
 def _cmd_predict(args) -> int:
     from .treesign import predict_tree_sign_rows
 
     g = read_graph(args.graph)
     rows = predict_tree_sign_rows(g)  # n references to two strings
-    lines = [f"{g.n}"] + rows
-    document = {"n": g.n, "rows": rows}
-    if args.distances:
-        pairs = []
-        for i in range(1, g.n + 1):
-            dist = bfs_distances(g, i)
-            for j in range(i + 1, g.n + 1):
-                d = dist[j]
-                sign = "-" if d % 2 == 1 else "+"
-                pairs.append({"i": i, "j": j, "distance": d, "sign": sign})
-                lines.append(
-                    f"# d({i},{j}) = {d} ({'odd' if d % 2 else 'even'}) -> {sign}"
-                )
-        document["distances"] = pairs
     if args.out:
         write_sign_matrix(args.out, rows, comment=f"predicted from {args.graph}")
-    _emit(args, document, lines)
+    if args.json:
+        document = {"n": g.n, "rows": rows}
+        if args.distances:
+            document["distances"] = [
+                {"i": i, "j": j, "distance": d, "sign": "-" if d % 2 else "+"}
+                for i, dists in _tree_distances(g)
+                for j, d in enumerate(dists, start=i + 1)
+            ]
+        print(json.dumps(document, indent=2))
+        return 0
+    print(g.n)
+    for row in rows:  # one at a time: the n rows are n^2 characters
+        print(row)
+    if args.distances:  # n(n - 1)/2 lines, printed a vertex at a time as they are made
+        for i, dists in _tree_distances(g):
+            print("\n".join(
+                f"# d({i},{j}) = {d} ({'odd' if d % 2 else 'even'}) -> {'-' if d % 2 else '+'}"
+                for j, d in enumerate(dists, start=i + 1)
+            ))
     return 0
 
 
@@ -242,6 +253,8 @@ def _campaign_lines(name: str, report) -> list[str]:
 def _cmd_fuzz(args) -> int:
     from .oracle import necessity_campaign, tree_sign_campaign
 
+    if args.density is not None and args.theorem == "2":
+        raise ValueError("--density applies to --theorem 1 and all: theorem 2's trials draw trees")
     n_range = (args.n_min, args.n_max)
     reports = {}
     if args.theorem in ("1", "all"):

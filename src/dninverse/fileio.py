@@ -4,8 +4,9 @@ All three formats share the same frame: blank lines and lines starting with
 '#' are ignored, the first content line is the size n, and what follows
 depends on the kind. Matrices have n rows of n whitespace-separated decimals,
 sign matrices have n rows of '+'/'-' characters, graphs have one "i j" line
-per edge with 1-indexed endpoints. Writers emit 17 significant digits so a
-write/read round trip is exact.
+per edge with 1-indexed endpoints. A size, edge or matrix line is plain
+ASCII without '_'. Writers emit 17 significant digits so a write/read round
+trip is exact.
 
 Matrices are symmetric, so a matrix file spells every off-diagonal value
 twice. The writer formats each mirrored pair once and reuses the text below
@@ -32,7 +33,7 @@ import numpy as np
 
 from .densemat import SymMatrix
 from .errors import AsymmetricMatrix, DnInverseError
-from .graphs import UGraph
+from .graphs import UGraph, _check_edge
 from .signpattern import SignMatrix
 
 
@@ -65,12 +66,20 @@ def _content_lines(path) -> Iterator[tuple[int, str]]:
                 yield line_no, stripped
 
 
+def _check_number_text(text: str) -> None:
+    """Raise ValueError unless ``text`` is ASCII without '_': int() and float()
+    also read digit separators and other scripts' digits, which no format allows."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number line: {text!r}")
+
+
 def _read_size(path, lines: Iterator[tuple[int, str]]) -> tuple[int, int]:
     try:
         line_no, text = next(lines)
     except StopIteration:
         raise ParseError(path, 0, "file has no content lines") from None
     try:
+        _check_number_text(text)
         n = int(text)
     except ValueError:
         raise ParseError(path, line_no, f"expected the size n, got {text!r}") from None
@@ -123,6 +132,7 @@ def read_matrix(path) -> SymMatrix:
         parsed = fields[i:] if mirrored else fields
         symmetric = symmetric and mirrored
         try:
+            _check_number_text(text)
             rows.append(np.fromiter(map(float, parsed), float, len(parsed)))
         except ValueError:
             raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
@@ -407,15 +417,16 @@ def read_graph(path) -> UGraph:
                 path, line_no, f"expected an edge line 'i j', got {text!r}"
             )
         try:
+            _check_number_text(text)
             i, j = int(fields[0]), int(fields[1])
         except ValueError:
             raise ParseError(path, line_no, f"invalid edge endpoints {text!r}") from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(path, line_no, f"edge ({i}, {j}) out of range 1..{n}")
-        if i == j:
-            raise ParseError(path, line_no, f"self-loop at vertex {i}")
+        try:
+            _check_edge(n, i, j)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if key in seen:  # UGraph merges a repeated pair; the file format rejects it
             raise ParseError(path, line_no, f"duplicate edge ({i}, {j})")
         seen.add(key)
         edges.append((i, j))

@@ -25,6 +25,12 @@ import numpy as np
 MAX_KEYED_VERTICES = math.isqrt(2**63 - 1) - 1
 
 
+def _check_vertex(n: int, v: int) -> None:
+    """Raise ValueError unless v is a vertex of 1..n."""
+    if not (1 <= v <= n):
+        raise ValueError(f"vertex {v} out of range 1..{n}")
+
+
 def _check_edge(n: int, i: int, j: int) -> None:
     """Raise ValueError for a bad edge (i, j) on 1..n: out of range before self-loop."""
     if not (1 <= i <= n and 1 <= j <= n):
@@ -135,7 +141,7 @@ class UGraph:
         return self._adj
 
     def _neighbor_list(self, v: int) -> list[int]:
-        self._check_vertex(v)
+        _check_vertex(self._n, v)
         return self._adjacency()[v]
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -146,12 +152,8 @@ class UGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         row = self._neighbor_list(i)
-        self._check_vertex(j)
+        _check_vertex(self._n, j)
         return j in row
-
-    def _check_vertex(self, v: int) -> None:
-        if not (1 <= v <= self._n):
-            raise ValueError(f"vertex {v} out of range 1..{self._n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UGraph):
@@ -255,7 +257,7 @@ def _bfs(g: UGraph, source: int, depth: list | None = None) -> tuple[list, list]
 
 def bfs_distances(g: UGraph, source: int) -> dict[int, int]:
     """Hop distances from source to every reachable vertex, in visiting order."""
-    g._check_vertex(source)
+    _check_vertex(g.n, source)
     order, depth = _bfs(g, source)
     return {v: depth[v] for v in order}
 

@@ -244,6 +244,8 @@ def search_nonunique_complete(
     """
     if n < 3:
         raise ValueError(f"complete-graph patterns are forced below size 3, got {n}")
+    if max_trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {max_trials}")
     rng = np.random.default_rng(seed)
     first = None
     first_pattern = None

@@ -21,17 +21,12 @@ import numpy as np
 
 from .densemat import REL_TOL_ZERO, SymMatrix, zero_threshold
 from .errors import DimensionMismatch, NotATree, SchurNotPositiveDefinite
-from .graphs import UGraph, _walk, bfs_distances, is_connected
+from .graphs import UGraph, _check_vertex, _walk, bfs_distances, is_connected
 from .signpattern import MINUS, PLUS, SignMatrix, _sign_text
 
 TOL_RATIO = 1e-8
 SCHUR_FLOOR = 1e-12
 RATIO_SKIP_FACTOR = 1e3
-
-
-def _check_vertex(n: int, v: int) -> None:
-    if not (1 <= v <= n):
-        raise ValueError(f"vertex {v} out of range 1..{n}")
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,23 @@ def test_predict_distances_justification(capsys):
     assert "d(1,3) = 2 (even) -> +" in out
 
 
+def test_predict_distances_list_every_pair_in_order_in_text_and_json(tmp_path, capsys):
+    n = 5
+    path = tmp_path / "path.graph"
+    path.write_text(f"{n}\n" + "".join(f"{i + 1} {i}\n" for i in range(1, n)))
+    pairs = [(i, j, j - i) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    assert main(["predict", str(path), "--distances"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[n + 1 :] == [
+        f"# d({i},{j}) = {d} ({'odd' if d % 2 else 'even'}) -> {'-' if d % 2 else '+'}"
+        for i, j, d in pairs
+    ]
+    assert main(["predict", str(path), "--distances", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["distances"] == [
+        {"i": i, "j": j, "distance": d, "sign": "-" if d % 2 else "+"} for i, j, d in pairs
+    ]
+
+
 def test_predict_writes_pattern_file(tmp_path):
     out = tmp_path / "predicted.signs"
     code = main(["predict", str(FIXTURES / "path3.graph"), "--out", str(out)])
@@ -342,6 +359,34 @@ def test_fuzz_rejects_negative_seed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fuzz", "--trials", "5", "--seed", "-1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuzz", "--trials", "5", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
+        (["fuzz", "--trials", "-3", "--seed", "1"], "value must be nonnegative"),
+        (["search-nonunique", "--seed", "1", "--max-trials", "-1"], "value must be nonnegative"),
+    ],
+)
+def test_a_bad_seed_or_count_is_a_usage_error_that_says_why(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_density_under_theorem_2_alone_exits_2_before_any_trial(monkeypatch, capsys):
+    # theorem 2's trials draw trees, so the flag would be silently ignored
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("a campaign ran")
+
+    monkeypatch.setattr(oracle, "necessity_campaign", no_campaign)
+    monkeypatch.setattr(oracle, "tree_sign_campaign", no_campaign)
+    code = main(["fuzz", "--theorem", "2", "--trials", "2", "--seed", "1", "--density", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --density ")
 
 
 def test_search_nonunique_writes_pair(tmp_path, capsys):
@@ -752,6 +797,24 @@ def test_predict_renders_a_long_path_in_memory_linear_in_n(tmp_path):
     rows = read_sign_matrix(out).to_rows()
     assert rows[0] == "+-" * (n // 2) and rows[1] == "-+" * (n // 2)
     assert rows[2:] == rows[:-2]
+
+
+def test_predict_distances_prints_a_long_path_without_keeping_its_pair_table(tmp_path):
+    # text mode prints the n(n - 1)/2 pair lines a vertex at a time; the table
+    # of 79,800 pairs took 23 MiB when it was kept whole
+    n = 400
+    path = tmp_path / "path.graph"
+    path.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(["predict", str(FIXTURES / "path3.graph")]) == 0  # the parser is cached
+        tracemalloc.start()
+        try:
+            code = main(["predict", str(path), "--distances"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**21
 
 
 def _fresh_python(code, *args, env=None):

@@ -37,8 +37,8 @@ _EDGES_BEYOND_THE_VERTEX_LIMIT = "4000000000\n1 2\n"
 
 
 def reference_read_matrix(path) -> SymMatrix:
-    """Reference matrix reader: every field of every row goes through float(),
-    and the rows are lists of Python floats."""
+    """Reference matrix reader: a row line of plain ASCII without '_' has every
+    field go through float(), and the rows are lists of Python floats."""
     lines = _content_lines(path)
     _, n = _read_size(path, lines)
     rows = []
@@ -53,6 +53,8 @@ def reference_read_matrix(path) -> SymMatrix:
                 path, line_no, f"expected {n} entries in row {i + 1}, found {len(fields)}"
             )
         try:
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
             rows.append([float(f) for f in fields])
         except ValueError:
             raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
@@ -327,16 +329,12 @@ def test_matrix_writer_spells_the_path_witness_with_its_zeros_and_subnormals(tmp
 
 
 def _spellings(v: float, rng) -> str:
-    """One of the texts float() reads as exactly ``v``, picked at random."""
+    """One of the plain ASCII texts float() reads as exactly ``v``, picked at random."""
     texts = [f"{v:.17g}", repr(v), f"{v:.25e}"]
     if not np.signbit(v):
         texts.append("+" + repr(v))
     if v.is_integer() and abs(v) < 2.0**53:
         texts.append(("-" if np.signbit(v) else "") + str(abs(int(v))))  # 1 for 1.0, -0 for -0.0
-    digits = [k for k in range(1, len(repr(v))) if repr(v)[k - 1 : k + 1].isdigit()]
-    if digits:
-        k = digits[rng.integers(len(digits))]
-        texts.append(repr(v)[:k] + "_" + repr(v)[k:])
     text = texts[rng.integers(len(texts))]
     assert float(text) == v and np.signbit(float(text)) == np.signbit(v), text
     return text
@@ -372,6 +370,9 @@ def _spelled_matrix_file(path, rng) -> None:
         texts[i][j] = texts[j][i] = "1..0"
     elif fault == 2:
         del texts[rng.integers(n)][0]
+    elif fault == 3:  # a text float() reads, with a digit separator or a non-ASCII digit
+        i, j = rng.integers(n, size=2)
+        texts[i][j] = rng.choice(["1_0", "\u0661", "2.5e1_0", "\uff17"])
     path.write_text(f"{n}\n" + "".join(" ".join(row) + "\n" for row in texts), encoding="utf-8")
 
 
@@ -631,6 +632,51 @@ def test_empty_file_reports_whole_file(tmp_path):
         read_graph(path)
     assert info.value.line_no == 0
     assert "no content" in str(info.value)
+
+
+@pytest.mark.parametrize("edge", ["0 2", "3 4", "-1 2", "2 2", "4 4"])
+def test_graph_reader_reports_a_bad_edge_as_ugraph_rejects_it(tmp_path, edge):
+    # the range and self-loop rules, range first, are those of graphs
+    path = tmp_path / "g.txt"
+    path.write_text(f"3\n1 2\n{edge}\n")
+    with pytest.raises(ValueError) as expected:
+        UGraph(3, [tuple(map(int, edge.split()))])
+    with pytest.raises(ParseError) as info:
+        read_graph(path)
+    assert (info.value.line_no, info.value.reason) == (3, str(expected.value))
+
+
+@pytest.mark.parametrize(
+    "reader, text, line_no, reason",
+    [
+        (read_matrix, "1_0\n", 1, "expected the size n, got '1_0'"),
+        (read_graph, "\u0661\n", 1, "expected the size n, got '\u0661'"),
+        (read_sign_matrix, "\uff11\n+\n", 1, "expected the size n, got '\uff11'"),
+        (read_graph, "3\n1 2_0\n", 2, "invalid edge endpoints '1 2_0'"),
+        (read_graph, "3\n1 \u0662\n", 2, "invalid edge endpoints '1 \u0662'"),
+        (read_graph, "3\n1\u20032\n", 2, "invalid edge endpoints '1\\u20032'"),  # an em space, which repr escapes
+        (read_graph, "3\n1 2_0 3\n", 2, "expected an edge line 'i j', got '1 2_0 3'"),
+        (read_matrix, "2\n1 1_0\n1_0 1\n", 2, "invalid number in row 1"),
+        (read_matrix, "1\n\u0661\n", 2, "invalid number in row 1"),
+        (read_matrix, "2\n1 2\n2 \u0661.0\n", 3, "invalid number in row 2"),  # a mirrored row
+        (read_matrix, "2\n1 \u0662 3\n2 1\n", 2, "expected 2 entries in row 1, found 3"),
+    ],
+)
+def test_readers_reject_number_lines_that_are_not_plain_ascii(tmp_path, reader, text, line_no, reason):
+    # int() and float() read "1_0" as 10 and other scripts' digits as digits
+    path = tmp_path / "f.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert (info.value.line_no, info.value.reason) == (line_no, reason)
+
+
+def test_readers_keep_utf8_comments_and_signs_next_to_ascii_numbers(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("# \u00e9t\u00e9 \u0661_\n2\n +1 -0.5e0\n-0.5 1.\n", encoding="utf-8")
+    assert read_matrix(path).entries.tolist() == [[1.0, -0.5], [-0.5, 1.0]]
+    path.write_text("# \u0661_\n+3\n1 +2\n", encoding="utf-8")
+    assert read_graph(path) == UGraph(3, [(1, 2)])
 
 
 def test_read_graph_of_a_huge_vertex_count_allocates_nothing_per_vertex(tmp_path):

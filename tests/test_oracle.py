@@ -386,6 +386,28 @@ def test_search_nonunique_rejects_forced_sizes():
         search_nonunique_complete(2, 10, seed=0)
 
 
+def test_search_nonunique_rejects_a_negative_budget():
+    # as both campaigns do; range(-1) would return None as if the budget ran out
+    with pytest.raises(ValueError, match=r"^trial count must be nonnegative, got -1$"):
+        search_nonunique_complete(3, -1, 0)
+
+
+def test_search_nonunique_skips_a_draw_that_is_not_complete(monkeypatch):
+    pair = search_nonunique_complete(3, 500, seed=77)
+    path = SymMatrix([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 2.0]])  # no (1, 2) entry
+    draws = iter([path, pair.first, pair.second])
+    monkeypatch.setattr(oracle, "random_dn_matrix", lambda n, density, rng: next(draws))
+    found = search_nonunique_complete(3, 3, seed=0)
+    assert (found.first, found.second, found.trials_used) == (pair.first, pair.second, 3)
+
+
+def test_random_dn_matrix_gives_up_after_max_resamples(monkeypatch):
+    # at density 1e-9 no draw of n = 2 keeps its off-diagonal entries: never connected
+    monkeypatch.setattr(oracle, "MAX_RESAMPLES", 3)
+    with pytest.raises(RuntimeError, match=r"^no irreducible draw of size 2 in 3 attempts at density 1e-09$"):
+        random_dn_matrix(2, 1e-9, 0)
+
+
 def test_thinning_by_multiplication_matches_the_scatter_bit_for_bit():
     # b *= keep leaves a kept entry as drawn and turns a dropped one into 0.0,
     # as the scatter b[~keep] = 0.0 does; b >= 0, so no -0.0 appears

@@ -302,3 +302,8 @@ def test_random_feasible_pattern_is_stored_as_a_trusted_pattern():
     for n in (1, 2, 9, 60):
         s = random_feasible_sign_matrix(n, n)
         _assert_trusted_pattern(s, SignMatrix(s.signs))
+
+
+def test_random_feasible_sign_matrix_rejects_an_empty_size():
+    with pytest.raises(ValueError, match=r"^size must be at least 1, got 0$"):
+        random_feasible_sign_matrix(0, 0)

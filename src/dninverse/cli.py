@@ -166,11 +166,16 @@ def _cmd_witness(args) -> int:
     return 0 if ok else 1
 
 
-def _tree_distances(g):
-    """Each vertex i < n with its distances to the vertices i + 1..n, in that order."""
+def _tree_distances(g, rows):
+    """Each vertex i < n with its distances to the vertices i + 1..n, in that
+    order, and the signs ``rows`` predicts for those pairs."""
     for i in range(1, g.n):
         dist = bfs_distances(g, i)
-        yield i, [dist[j] for j in range(i + 1, g.n + 1)]
+        yield i, [dist[j] for j in range(i + 1, g.n + 1)], rows[i - 1][i:]
+
+
+# one object of the "distances" array as json.dumps(document, indent=2) lays it out
+_PAIR_JSON = '    {{\n      "i": {},\n      "j": {},\n      "distance": {},\n      "sign": "{}"\n    }}'
 
 
 def _cmd_predict(args) -> int:
@@ -180,24 +185,30 @@ def _cmd_predict(args) -> int:
     rows = predict_tree_sign_rows(g)  # n references to two strings
     if args.out:
         write_sign_matrix(args.out, rows, comment=f"predicted from {args.graph}")
+    # the n(n - 1)/2 distance pairs are printed a vertex at a time as they are made
     if args.json:
         document = {"n": g.n, "rows": rows}
         if args.distances:
-            document["distances"] = [
-                {"i": i, "j": j, "distance": d, "sign": "-" if d % 2 else "+"}
-                for i, dists in _tree_distances(g)
-                for j, d in enumerate(dists, start=i + 1)
-            ]
-        print(json.dumps(document, indent=2))
+            document["distances"] = []  # its pairs are printed between the brackets
+        text = json.dumps(document, indent=2)
+        if args.distances and g.n > 1:
+            print(text[: -len("]\n}")], end="")  # up to the array's opening bracket
+            separator = "\n"
+            for i, dists, signs in _tree_distances(g, rows):
+                pairs = enumerate(zip(dists, signs), start=i + 1)
+                print(separator + ",\n".join(_PAIR_JSON.format(i, j, d, s) for j, (d, s) in pairs), end="")
+                separator = ",\n"
+            text = "\n  ]\n}"
+        print(text)
         return 0
     print(g.n)
     for row in rows:  # one at a time: the n rows are n^2 characters
         print(row)
-    if args.distances:  # n(n - 1)/2 lines, printed a vertex at a time as they are made
-        for i, dists in _tree_distances(g):
+    if args.distances:
+        for i, dists, signs in _tree_distances(g, rows):
             print("\n".join(
-                f"# d({i},{j}) = {d} ({'odd' if d % 2 else 'even'}) -> {'-' if d % 2 else '+'}"
-                for j, d in enumerate(dists, start=i + 1)
+                f"# d({i},{j}) = {d} ({'odd' if d % 2 else 'even'}) -> {sign}"
+                for j, (d, sign) in enumerate(zip(dists, signs), start=i + 1)
             ))
     return 0
 

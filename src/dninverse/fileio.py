@@ -10,12 +10,11 @@ trip is exact.
 
 Matrices are symmetric, so a matrix file spells every off-diagonal value
 twice. The writer formats each mirrored pair once and reuses the text below
-the diagonal; the reader parses a below-diagonal field only when its text
-differs from its mirror's. It compares the mirrored part of a row as one
-string, the mirror texts joined by single spaces against the start of the
-line, and falls back to comparing field by field. A file whose every row is
-mirrored is symmetric bit for bit as read and is stored as read. The bytes
-written and the floats read are those of converting every entry on its own.
+the diagonal. The reader skips the conversion of a row's lower part when the
+row begins with its mirrors' texts joined by single spaces, as the writer
+spells it; a row spaced otherwise is parsed in full. The parsed array is
+stored as read when it is symmetric bit for bit. The bytes written and the
+floats read are those of converting every entry on its own.
 
 The writer formats in bulk, a block of rows at a time: numpy computes each
 entry's 17-digit significand exactly, in double-double arithmetic, and lays
@@ -88,64 +87,63 @@ def _read_size(path, lines: Iterator[tuple[int, str]]) -> tuple[int, int]:
     return line_no, n
 
 
-def _no_trailing(path, lines: Iterator[tuple[int, str]]) -> None:
+def _rows(path, lines: Iterator[tuple[int, str]], n: int, kind: str) -> Iterator[tuple[int, str]]:
+    """The n row lines after the size line. Raises ParseError at end of file
+    before the last row, and on content after it once the caller asks for more."""
+    found = 0
     for line_no, text in lines:
-        raise ParseError(path, line_no, f"unexpected extra content {text!r}")
+        if found == n:
+            raise ParseError(path, line_no, f"unexpected extra content {text!r}")
+        found += 1
+        yield line_no, text
+    if found < n:
+        raise ParseError(path, 0, f"expected {n} {kind} rows, found {found}")
 
 
 def read_matrix(path) -> SymMatrix:
     """Parse a symmetric matrix file; malformed input raises :class:`ParseError`.
 
-    A row whose below-diagonal fields all read as the text of their mirrors is
-    parsed from the diagonal on, and its lower part is copied from the mirror
-    column: the same text is the same float. Row i is first compared as one
-    string, its first i fields against the mirror texts joined by single
-    spaces; a row spelled otherwise is split and compared field by field. Any
-    other row is parsed in full, and :class:`SymMatrix` symmetrizes or rejects
-    what differs. When every row is mirrored, the array is symmetric bit for
-    bit as assembled and is stored as read.
+    A row that begins with its mirrors' texts, the fields above its diagonal
+    entry as the earlier rows spell them, joined by single spaces and then
+    followed by whitespace, is parsed from the diagonal on, and its lower part
+    is copied from the mirror column: the same text is the same float. Any
+    other row is parsed in full, which costs the conversions of its lower
+    part too.
+    An array symmetric bit for bit as assembled is stored as read; any other
+    goes through :class:`SymMatrix`, which symmetrizes or rejects it.
     """
     lines = _content_lines(path)
     _, n = _read_size(path, lines)
-    rows = []  # row i as floats: all n, or from the diagonal on when mirrored
-    # per earlier row, its texts right of the diagonal still to be compared, last column first
+    rows = []  # row i as floats: all n, or from the diagonal on after its mirrors
+    # per earlier row, its texts right of the diagonal not yet taken as mirrors, last column first
     pending = []
-    symmetric = True  # every row so far mirrored
-    for i in range(n):
-        try:
-            line_no, text = next(lines)
-        except StopIteration:
-            raise ParseError(path, 0, f"expected {n} matrix rows, found {i}") from None
-        mirrors = list(map(list.pop, pending))
-        prefix = " ".join(mirrors)
+    for i, (line_no, text) in enumerate(_rows(path, lines, n, "matrix")):
+        prefix = " ".join(map(list.pop, pending))
         # the line starts with the mirror texts, the last one ended by whitespace:
-        # then only the rest is split, and the mirrors are its first i fields
+        # then only the rest is split and parsed
         if text.startswith(prefix) and text[len(prefix) : len(prefix) + 1].isspace():
-            fields = mirrors + text[len(prefix) :].split()
+            parsed = text[len(prefix) :].split()
+            found = i + len(parsed)
         else:
-            fields = text.split()
-        if len(fields) != n:
-            raise ParseError(
-                path, line_no, f"expected {n} entries in row {i + 1}, found {len(fields)}"
-            )
-        mirrored = fields[:i] == mirrors
-        parsed = fields[i:] if mirrored else fields
-        symmetric = symmetric and mirrored
+            parsed = text.split()
+            found = len(parsed)
+        if found != n:
+            raise ParseError(path, line_no, f"expected {n} entries in row {i + 1}, found {found}")
         try:
             _check_number_text(text)
             rows.append(np.fromiter(map(float, parsed), float, len(parsed)))
         except ValueError:
             raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
-        pending.append(fields[:i:-1])
-    _no_trailing(path, lines)
+        pending.append(parsed[: i - n : -1])
     arr = np.empty((n, n))
     for i, row in enumerate(rows):
         arr[i, n - row.size :] = row
         if row.size < n:
             arr[i, :i] = arr[:i, i]
     del rows  # before SymMatrix copies arr
+    bits = arr.view(np.int64)
     try:
-        return SymMatrix._trusted(arr) if symmetric else SymMatrix(arr)
+        return SymMatrix._trusted(arr) if np.array_equal(bits, bits.T) else SymMatrix(arr)
     except (AsymmetricMatrix, ValueError) as exc:
         raise ParseError(path, 0, str(exc)) from None
 
@@ -381,17 +379,12 @@ def read_sign_matrix(path) -> SignMatrix:
     lines = _content_lines(path)
     _, n = _read_size(path, lines)
     rows = []
-    for i in range(n):
-        try:
-            line_no, text = next(lines)
-        except StopIteration:
-            raise ParseError(path, 0, f"expected {n} sign rows, found {i}") from None
+    for line_no, text in _rows(path, lines, n, "sign"):
         if len(text) != n or text.strip("+-"):
             raise ParseError(
                 path, line_no, f"expected {n} characters from '+-', got {text!r}"
             )
         rows.append(text)
-    _no_trailing(path, lines)
     return SignMatrix.from_rows(rows)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -799,9 +800,10 @@ def test_predict_renders_a_long_path_in_memory_linear_in_n(tmp_path):
     assert rows[2:] == rows[:-2]
 
 
-def test_predict_distances_prints_a_long_path_without_keeping_its_pair_table(tmp_path):
-    # text mode prints the n(n - 1)/2 pair lines a vertex at a time; the table
-    # of 79,800 pairs took 23 MiB when it was kept whole
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_predict_distances_prints_a_long_path_without_keeping_its_pair_table(tmp_path, flags):
+    # both modes print the n(n - 1)/2 pairs a vertex at a time; the table of
+    # 79,800 pairs took 23 MiB in text mode and 81 MiB as JSON when it was kept whole
     n = 400
     path = tmp_path / "path.graph"
     path.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
@@ -809,12 +811,34 @@ def test_predict_distances_prints_a_long_path_without_keeping_its_pair_table(tmp
         assert main(["predict", str(FIXTURES / "path3.graph")]) == 0  # the parser is cached
         tracemalloc.start()
         try:
-            code = main(["predict", str(path), "--distances"])
+            code = main(["predict", str(path), "--distances", *flags])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert code == 0
     assert peak < 2**21
+
+
+@pytest.mark.parametrize(
+    "edges", [[], [(1, 2)], [(2, 1), (2, 3)], [(1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (2, 7)]],
+    ids=["n1", "n2", "n3", "n7"],
+)
+def test_predict_json_distances_prints_the_bytes_of_dumping_the_whole_document(tmp_path, capsys, edges):
+    n = len(edges) + 1
+    path = tmp_path / "tree.graph"
+    path.write_text(f"{n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    assert main(["predict", str(path), "--distances"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pair = re.compile(r"# d\((\d+),(\d+)\) = (\d+) \((?:odd|even)\) -> ([+-])")
+    pairs = [pair.fullmatch(line).groups() for line in lines[n + 1 :]]
+    assert len(pairs) == n * (n - 1) // 2
+    document = {
+        "n": n,
+        "rows": lines[1 : n + 1],
+        "distances": [{"i": int(i), "j": int(j), "distance": int(d), "sign": s} for i, j, d, s in pairs],
+    }
+    assert main(["predict", str(path), "--json", "--distances"]) == 0
+    assert capsys.readouterr().out == json.dumps(document, indent=2) + "\n"
 
 
 def _fresh_python(code, *args, env=None):

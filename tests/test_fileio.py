@@ -26,7 +26,7 @@ from dninverse import (
 from dninverse import fileio
 from dninverse.cli import main
 from dninverse.errors import AsymmetricMatrix
-from dninverse.fileio import _content_lines, _no_trailing, _read_size
+from dninverse.fileio import _content_lines, _read_size
 from dninverse.graphs import MAX_KEYED_VERTICES
 
 
@@ -58,7 +58,8 @@ def reference_read_matrix(path) -> SymMatrix:
             rows.append([float(f) for f in fields])
         except ValueError:
             raise ParseError(path, line_no, f"invalid number in row {i + 1}") from None
-    _no_trailing(path, lines)
+    for line_no, text in lines:
+        raise ParseError(path, line_no, f"unexpected extra content {text!r}")
     try:
         return SymMatrix(rows)
     except (AsymmetricMatrix, ValueError) as exc:
@@ -361,6 +362,8 @@ def _spelled_matrix_file(path, rng) -> None:
     for i, j in zip(*lower):
         if bits[i, j] == bits[j, i] and rng.random() < alike:
             texts[i][j] = texts[j][i]
+    # a row spaced otherwise than by single spaces is parsed in full
+    gaps = [rng.choice([" ", " ", "\t", "  "]) for _ in range(n)]
     fault = rng.integers(8)
     if fault == 0:
         i, j = rng.integers(n, size=2)
@@ -373,7 +376,8 @@ def _spelled_matrix_file(path, rng) -> None:
     elif fault == 3:  # a text float() reads, with a digit separator or a non-ASCII digit
         i, j = rng.integers(n, size=2)
         texts[i][j] = rng.choice(["1_0", "\u0661", "2.5e1_0", "\uff17"])
-    path.write_text(f"{n}\n" + "".join(" ".join(row) + "\n" for row in texts), encoding="utf-8")
+    lines = "".join(gap.join(row) + "\n" for gap, row in zip(gaps, texts))
+    path.write_text(f"{n}\n" + lines, encoding="utf-8")
 
 
 def _outcome(reader, path):
@@ -429,25 +433,27 @@ def test_matrix_reader_reads_a_lower_half_spelled_with_other_gaps_as_mirrored(tm
     path.write_text(f"3\n4 1 0.5\n1{gap}4 2\n0.5{gap}2 4\n")
     calls = _constructor_calls(monkeypatch)
     assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
-    assert len(calls) == 1  # the reference's; read_matrix stores the mirrored file as read
+    assert len(calls) == 1  # the reference's; read_matrix parses the lower half and stores it as read
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, calls",
     [
-        "3\n1 5 1\n5 1 2\n1 23 1\n",  # mirrors "1 2" against "1 23"
-        "3\n1 2 3\n2 1 4\n3 45 1\n",  # "3 4" against "3 45": asymmetric beyond tolerance
-        "2\n1 1\n1.0 1\n",  # "1" against "1.0": the same number, spelled otherwise
-        "2\n1 2\n2.5 1\n",
+        ("3\n1 5 1\n5 1 2\n1 23 1\n", 2),  # mirrors "1 2" against "1 23"
+        ("3\n1 2 3\n2 1 4\n3 45 1\n", 2),  # "3 4" against "3 45": asymmetric beyond tolerance
+        # "1" against "1.0": the same number spelled otherwise, so the array is
+        # symmetric bit for bit as parsed and read_matrix stores it as read
+        ("2\n1 1\n1.0 1\n", 1),
+        ("2\n1 2\n2.5 1\n", 2),
     ],
     ids=["prefix-of-second", "prefix-asymmetric", "prefix-same-value", "prefix-of-first"],
 )
-def test_matrix_reader_does_not_take_a_mirror_that_is_a_prefix_of_a_field(tmp_path, monkeypatch, text):
+def test_matrix_reader_does_not_take_a_mirror_that_is_a_prefix_of_a_field(tmp_path, monkeypatch, text, calls):
     path = tmp_path / "m.txt"
     path.write_text(text)
-    calls = _constructor_calls(monkeypatch)
+    counted = _constructor_calls(monkeypatch)
     assert _outcome(read_matrix, path) == _outcome(reference_read_matrix, path)
-    assert len(calls) == 2  # the reference's and read_matrix's: the row with the prefix is not mirrored
+    assert len(counted) == calls  # the reference's, and read_matrix's unless stored as read
 
 
 @pytest.mark.parametrize(
@@ -540,6 +546,30 @@ def test_write_matrix_of_1000_rows_frees_the_scaling_before_the_layout(tmp_path)
     # block; 14.6 MiB while the scaling temporaries lived through the layout
     peak = _peak_of_writing_1000_rows(tmp_path / "m.txt")
     assert peak < 14.25 * 2**20
+
+
+@pytest.mark.parametrize(
+    "reader, rows, bad, reason",
+    [
+        (read_matrix, [" ".join("1" if j == i else "0" for j in range(5)) for i in range(5)], "0 x 0 0 0",
+         "invalid number in row 2"),
+        (read_sign_matrix, ["+++++"] * 5, "++x++", "expected 5 characters from '+-', got '++x++'"),
+    ],
+    ids=["matrix", "sign"],
+)
+def test_row_readers_report_a_bad_row_before_the_missing_rows_and_extra_content_after_the_last(
+    tmp_path, reader, rows, bad, reason
+):
+    path = tmp_path / "m.txt"
+    # rows 1 to 3 of 5, row 2 bad, on lines 3, 5 and 6
+    path.write_text(f"5\n# rows\n{rows[0]}\n\n{bad}\n{rows[2]}\n")
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert (info.value.line_no, info.value.reason) == (5, reason)
+    path.write_text("5\n" + "".join(row + "\n" for row in rows) + "# done\n" + rows[0] + "\n")
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert (info.value.line_no, info.value.reason) == (8, f"unexpected extra content {rows[0]!r}")
 
 
 def test_sign_matrix_round_trip(tmp_path):
